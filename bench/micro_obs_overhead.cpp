@@ -26,13 +26,22 @@
 // --spans-out is live) next to the SimProfiler — informational, since the
 // disabled-span path is exactly the "no monitor" row the guard covers.
 //
+// Two more informational rows price the sinks' text output: one metrics
+// snapshot of a Study A-shaped registry (4 classes: per-class delay
+// summaries, arrival/departure counters, backlog gauges, delay-ratio and
+// conformance gauges) in microseconds per window, and PacketTracer::save in
+// nanoseconds per record (the rate-1 link trace written to a temp file).
+//
 // Each configuration is timed `--reps` times and the best run is kept, which
 // filters scheduler noise on shared machines. Exits non-zero when a guarded
 // overhead exceeds `--threshold` percent.
 //
 //   micro_obs_overhead [--events=2000000] [--packets=400000] [--reps=5]
 //                      [--threshold=5]
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -42,6 +51,7 @@
 #include "dsim/event_queue.hpp"
 #include "dsim/simulator.hpp"
 #include "obs/conformance.hpp"
+#include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "obs/profiler.hpp"
 #include "obs/span.hpp"
@@ -215,6 +225,46 @@ void run_link_path(std::uint64_t packets, pds::PacketProbe* probe,
   }
 }
 
+// `windows` snapshots of a Study A-shaped registry (27 metrics), each
+// preceded by a refresh that sets every gauge and feeds every summary a few
+// observations, as the Study A refresh and departures do.
+void run_metrics_snapshots(std::uint64_t windows, const std::string& path) {
+  constexpr pds::ClassId kClasses = 4;
+  constexpr pds::SimTime kWindow = 1120.0;  // 100 p-units
+  pds::Simulator sim;
+  pds::MetricsRegistry reg;
+  std::vector<pds::Summary*> delays;
+  std::vector<pds::Counter*> counters;
+  std::vector<pds::Gauge*> gauges;
+  for (pds::ClassId c = 1; c <= kClasses; ++c) {
+    const std::string cls = "c" + std::to_string(c);
+    delays.push_back(&reg.summary("delay." + cls));
+    counters.push_back(&reg.counter("arrivals." + cls));
+    counters.push_back(&reg.counter("departures." + cls));
+    gauges.push_back(&reg.gauge("backlog." + cls + ".pkts"));
+    gauges.push_back(&reg.gauge("backlog." + cls + ".bytes"));
+    if (c < kClasses) {
+      const std::string pair = cls + "_c" + std::to_string(c + 1);
+      gauges.push_back(&reg.gauge("delay_ratio." + pair));
+      gauges.push_back(&reg.gauge("conformance.err." + pair));
+    }
+  }
+  counters.push_back(&reg.counter("conformance.violations"));
+  double x = 0.0;
+  pds::MetricsSnapshotWriter writer(sim, reg, path, kWindow, [&](pds::SimTime) {
+    for (pds::Gauge* g : gauges) g->set(x += 0.37);
+    for (pds::Counter* c : counters) c->inc(17);
+    for (pds::Summary* s : delays) {
+      for (int i = 0; i < 4; ++i) s->observe(x += 1.3);
+    }
+  });
+  sim.run_until(kWindow * static_cast<double>(windows));
+  writer.flush();
+  if (writer.snapshots_written() != windows) {
+    throw std::logic_error("metrics bench missed a window");
+  }
+}
+
 std::string pct(double ratio) {
   return pds::TablePrinter::num(100.0 * (ratio - 1.0), 2) + "%";
 }
@@ -281,6 +331,21 @@ int main(int argc, char** argv) {
       conformance.finish();
     });
 
+    // --- sink text output ---------------------------------------------------
+    const std::string scratch =
+        (std::filesystem::temp_directory_path() / "micro_obs_overhead")
+            .string();
+    const std::uint64_t windows = std::max<std::uint64_t>(events / 200, 100);
+    const double t_snapshots = best_seconds(
+        reps, [&]() { run_metrics_snapshots(windows, scratch + ".csv"); });
+    std::remove((scratch + ".csv").c_str());
+    pds::PacketTracer full_trace(1.0, 1);
+    run_link_path(packets, &full_trace);
+    const double t_save = best_seconds(
+        reps, [&]() { full_trace.save(scratch + ".trace.csv"); });
+    std::remove((scratch + ".trace.csv").c_str());
+    const auto records = static_cast<double>(full_trace.records().size());
+
     const double ev = static_cast<double>(events);
     const double pk = static_cast<double>(packets);
     pds::TablePrinter table(
@@ -301,6 +366,19 @@ int main(int argc, char** argv) {
     row("link", "conformance disabled (tau 0)", t_conf_off, pk, t_noprobe);
     row("link", "conformance tau 500", t_conf_on, pk, t_noprobe);
     table.print(std::cout);
+
+    pds::TablePrinter sinks({"sink", "work", "cost"});
+    sinks.add_row({"metrics snapshot (Study A registry, 27 metrics)",
+                   std::to_string(windows) + " windows",
+                   pds::TablePrinter::num(
+                       1e6 * t_snapshots / static_cast<double>(windows), 2) +
+                       " us/window"});
+    sinks.add_row({"PacketTracer::save", std::to_string(
+                       full_trace.records().size()) + " records",
+                   pds::TablePrinter::num(1e9 * t_save / records, 1) +
+                       " ns/record"});
+    std::cout << "\n";
+    sinks.print(std::cout);
 
     // The guards: obs compiled in but disabled must stay within `threshold`
     // percent of the path without the hook — the monitor branch in the event

@@ -97,6 +97,30 @@ cmake --build build-obsoff -j "${JOBS}" \
 ./build-obsoff/tests/obs_test
 ./build-obsoff/tests/conformance_test
 ./build-obsoff/tests/telemetry_test
+# Every sink on, metrics as CSV and as JSONL: the files must load back
+# through the repo's own readers (load_metrics_csv, PacketTracer::load via
+# trace_inspect) and every JSON line/document must parse.
+OBS_DIR="$(mktemp -d)"
+for ext in csv jsonl; do
+  ./build/examples/simulate_cli --scheduler=wtp --sim-time=2e4 \
+    --metrics-out="${OBS_DIR}/metrics.${ext}" \
+    --trace-out="${OBS_DIR}/trace.csv" --trace-sample=0.25 --profile \
+    --conformance-tau=50 --conformance-out="${OBS_DIR}/violations.jsonl" \
+    --report-out="${OBS_DIR}/report.json" >/dev/null
+done
+./build/examples/trace_inspect --trace="${OBS_DIR}/trace.csv" \
+  --metrics="${OBS_DIR}/metrics.csv" >/dev/null
+python3 - "${OBS_DIR}" <<'EOF'
+import json, pathlib, sys
+d = pathlib.Path(sys.argv[1])
+for name in ("metrics.jsonl", "violations.jsonl"):
+    lines = (d / name).read_text().splitlines()
+    assert lines, f"{name} is empty"
+    for line in lines:
+        json.loads(line)
+json.loads((d / "report.json").read_text())
+EOF
+rm -rf "${OBS_DIR}"
 cmake --build build -j "${JOBS}" --target micro_obs_overhead
 ./build/bench/micro_obs_overhead --events=300000 --packets=80000 --reps=3
 

@@ -92,35 +92,39 @@ StudyAResult run_study_a(const StudyAConfig& config) {
   std::unique_ptr<MetricsSnapshotWriter> writer;
   if (!config.metrics_out.empty()) {
     registry = std::make_unique<MetricsRegistry>();
+    std::vector<Gauge*> backlog_pkts;
+    std::vector<Gauge*> backlog_bytes;
+    std::vector<Gauge*> ratios;
     for (ClassId c = 0; c < n; ++c) {
       delay_summaries.push_back(&registry->summary("delay." + cls_name(c)));
       arrival_counters.push_back(
           &registry->counter("arrivals." + cls_name(c)));
       departure_counters.push_back(
           &registry->counter("departures." + cls_name(c)));
-      registry->gauge("backlog." + cls_name(c) + ".pkts");
-      registry->gauge("backlog." + cls_name(c) + ".bytes");
-      if (c + 1 < n) registry->gauge(ratio_name(c));
+      backlog_pkts.push_back(
+          &registry->gauge("backlog." + cls_name(c) + ".pkts"));
+      backlog_bytes.push_back(
+          &registry->gauge("backlog." + cls_name(c) + ".bytes"));
+      if (c + 1 < n) ratios.push_back(&registry->gauge(ratio_name(c)));
     }
     // Pull-style gauges refreshed just before each snapshot: instantaneous
     // per-class backlog off the scheduler, and the achieved short-timescale
     // delay ratios (window-mean d_i / d_{i+1}, Eq. 2's runtime analogue;
     // 0 when a window lacks departures in either class).
-    auto refresh = [reg = registry.get(), sched = scheduler.get(), n,
-                    cls_name, ratio_name](SimTime) {
+    auto refresh = [sched = scheduler.get(), n, delays = delay_summaries,
+                    backlog_pkts = std::move(backlog_pkts),
+                    backlog_bytes = std::move(backlog_bytes),
+                    ratios = std::move(ratios)](SimTime) {
       for (ClassId c = 0; c < n; ++c) {
-        reg->gauge("backlog." + cls_name(c) + ".pkts")
-            .set(static_cast<double>(sched->backlog_packets(c)));
-        reg->gauge("backlog." + cls_name(c) + ".bytes")
-            .set(static_cast<double>(sched->backlog_bytes(c)));
+        backlog_pkts[c]->set(static_cast<double>(sched->backlog_packets(c)));
+        backlog_bytes[c]->set(static_cast<double>(sched->backlog_bytes(c)));
       }
       for (ClassId c = 0; c + 1 < n; ++c) {
-        const RunningStats& lo = reg->summary("delay." + cls_name(c)).window();
-        const RunningStats& hi =
-            reg->summary("delay." + cls_name(c + 1)).window();
+        const RunningStats& lo = delays[c]->window();
+        const RunningStats& hi = delays[c + 1]->window();
         const bool defined =
             lo.count() > 0 && hi.count() > 0 && hi.mean() > 0.0;
-        reg->gauge(ratio_name(c)).set(defined ? lo.mean() / hi.mean() : 0.0);
+        ratios[c]->set(defined ? lo.mean() / hi.mean() : 0.0);
       }
     };
     writer = std::make_unique<MetricsSnapshotWriter>(

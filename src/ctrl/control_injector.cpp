@@ -222,9 +222,9 @@ void ControlInjector::set_span_buffer(SpanBuffer* buffer,
 
 void ControlInjector::bind_metrics(MetricsRegistry& registry) {
   metrics_ = &registry;
-  registry.counter("ctrl.episodes");
-  registry.counter("ctrl.shed.drops");
-  registry.counter("ctrl.drain.drops");
+  episodes_counter_ = &registry.counter("ctrl.episodes");
+  shed_counter_ = &registry.counter("ctrl.shed.drops");
+  drain_counter_ = &registry.counter("ctrl.drain.drops");
 }
 
 std::uint64_t ControlInjector::shed_drops() const {
@@ -244,15 +244,14 @@ std::uint64_t ControlInjector::drain_drops() const {
 }
 
 std::string ControlInjector::active_summary() const {
-  std::ostringstream os;
-  bool first = true;
+  std::string out;
   for (const Instance& inst : instances_) {
     if (!inst.active) continue;
-    if (!first) os << "+";
-    first = false;
-    os << to_string(inst.episode.kind) << " " << inst.episode.target;
+    if (!out.empty()) out += '+';
+    out.append(to_string(inst.episode.kind)).append(" ").append(
+        inst.episode.target);
   }
-  return os.str();
+  return out;
 }
 
 Scheduler& ControlInjector::current_scheduler(const std::string& name) {
@@ -283,10 +282,17 @@ void ControlInjector::note_control_drop(const Packet& p,
                                         ControlDropKind kind) {
   if (metrics_ == nullptr) return;
   if (kind == ControlDropKind::kShed) {
-    metrics_->counter("ctrl.shed.drops").inc();
-    metrics_->counter("ctrl.shed.c" + std::to_string(p.cls)).inc();
+    shed_counter_->inc();
+    if (p.cls >= shed_class_counters_.size()) {
+      shed_class_counters_.resize(p.cls + 1, nullptr);
+    }
+    Counter*& per_class = shed_class_counters_[p.cls];
+    if (per_class == nullptr) {
+      per_class = &metrics_->counter("ctrl.shed.c" + std::to_string(p.cls));
+    }
+    per_class->inc();
   } else {
-    metrics_->counter("ctrl.drain.drops").inc();
+    drain_counter_->inc();
   }
 }
 
@@ -295,7 +301,7 @@ void ControlInjector::apply(std::size_t index) {
   const ControlEpisode& ep = inst.episode;
   Link& link = *inst.target->link;
   ++applied_;
-  if (metrics_ != nullptr) metrics_->counter("ctrl.episodes").inc();
+  if (episodes_counter_ != nullptr) episodes_counter_->inc();
   switch (ep.kind) {
     case ControlKind::kRetune: {
       Scheduler& sched = link.scheduler_mut();

@@ -42,6 +42,7 @@
 
 namespace pds {
 
+class Counter;
 class MetricsRegistry;
 class SpanBuffer;
 
@@ -143,7 +144,13 @@ class ControlInjector {
   std::uint64_t sheds_ = 0;
   SpanBuffer* spans_ = nullptr;
   double span_scale_ = 1.0;
+  // Metric handles, resolved in bind_metrics(); the per-class shed counters
+  // are created on each class's first shed drop (null until then).
   MetricsRegistry* metrics_ = nullptr;
+  Counter* episodes_counter_ = nullptr;
+  Counter* shed_counter_ = nullptr;
+  Counter* drain_counter_ = nullptr;
+  std::vector<Counter*> shed_class_counters_;
 };
 
 }  // namespace pds

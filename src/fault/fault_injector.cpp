@@ -131,15 +131,14 @@ void FaultInjector::set_span_buffer(SpanBuffer* buffer,
 }
 
 std::string FaultInjector::active_summary() const {
-  std::ostringstream os;
-  bool first = true;
+  std::string out;
   for (const Instance& inst : instances_) {
     if (!inst.active) continue;
-    if (!first) os << "+";
-    first = false;
-    os << to_string(inst.episode.kind) << " " << inst.episode.target;
+    if (!out.empty()) out += '+';
+    out.append(to_string(inst.episode.kind)).append(" ").append(
+        inst.episode.target);
   }
-  return os.str();
+  return out;
 }
 
 void FaultInjector::begin(std::size_t index) {

@@ -1170,26 +1170,49 @@ ScenarioReport run_scenario(const Scenario& scenario,
   if (!options.metrics_out.empty()) {
     PDS_CHECK(options.metrics_window > 0.0,
               "metrics window must be positive");
+    // Handles resolved once; the refresh below runs every window.
+    struct LinkGauges {
+      LinkId id;
+      Gauge* util;
+      Gauge* sent;
+    };
+    struct FlowGauges {
+      Gauge* completed;
+      Gauge* failed;
+      Gauge* retries;
+      Gauge* waiting;
+      Gauge* slo;
+    };
+    std::vector<LinkGauges> links;
+    for (const auto& [name, id] : rep.link_ids) {
+      links.push_back({id, &registry.gauge("link." + name + ".util"),
+                       &registry.gauge("link." + name + ".sent")});
+    }
+    std::vector<FlowGauges> flows;
+    for (std::size_t i = 0; i < rep.workloads.size(); ++i) {
+      const std::string p = "flows.f" + std::to_string(i) + ".";
+      flows.push_back({&registry.gauge(p + "completed"),
+                       &registry.gauge(p + "failed"),
+                       &registry.gauge(p + "retries"),
+                       &registry.gauge(p + "waiting"),
+                       &registry.gauge(p + "slo")});
+    }
     metrics = std::make_unique<MetricsSnapshotWriter>(
         rep.sim, registry, options.metrics_out, options.metrics_window,
-        [&](SimTime) {
-          for (const auto& [name, id] : rep.link_ids) {
-            registry.gauge("link." + name + ".util")
-                .set(rep.net.utilization(id));
-            registry.gauge("link." + name + ".sent")
-                .set(static_cast<double>(rep.net.link(id).packets_sent()));
+        [&rep, links = std::move(links), flows = std::move(flows)](SimTime) {
+          for (const LinkGauges& l : links) {
+            l.util->set(rep.net.utilization(l.id));
+            l.sent->set(
+                static_cast<double>(rep.net.link(l.id).packets_sent()));
           }
-          for (std::size_t i = 0; i < rep.workloads.size(); ++i) {
+          for (std::size_t i = 0; i < flows.size(); ++i) {
             const auto& st = rep.workloads[i]->stats();
-            const std::string p = "flows.f" + std::to_string(i) + ".";
-            registry.gauge(p + "completed")
-                .set(static_cast<double>(st.completed));
-            registry.gauge(p + "failed").set(static_cast<double>(st.failed));
-            registry.gauge(p + "retries")
-                .set(static_cast<double>(st.retries));
-            registry.gauge(p + "waiting")
-                .set(static_cast<double>(rep.workloads[i]->waiting_users()));
-            registry.gauge(p + "slo").set(st.slo_attainment());
+            flows[i].completed->set(static_cast<double>(st.completed));
+            flows[i].failed->set(static_cast<double>(st.failed));
+            flows[i].retries->set(static_cast<double>(st.retries));
+            flows[i].waiting->set(
+                static_cast<double>(rep.workloads[i]->waiting_users()));
+            flows[i].slo->set(st.slo_attainment());
           }
         });
   }

@@ -3,22 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "util/atomic_file.hpp"
+#include "util/number_text.hpp"
 
 namespace pds {
 
 namespace {
-
-// Default-precision rendering, matching metrics CSV output.
-std::string fmt(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
 
 std::string default_class_name(ClassId c) {
   return "c" + std::to_string(c);
@@ -56,12 +49,13 @@ void ConformanceMonitor::set_class_namer(
 }
 
 void ConformanceMonitor::bind_metrics(MetricsRegistry& registry) {
-  metrics_ = &registry;
   if (!enabled()) return;
+  err_gauges_.clear();
   for (ClassId c = 0; c + 1 < count_.size(); ++c) {
-    registry.gauge("conformance.err." + namer_(c) + "_" + namer_(c + 1));
+    err_gauges_.push_back(&registry.gauge("conformance.err." + namer_(c) +
+                                          "_" + namer_(c + 1)));
   }
-  registry.counter("conformance.violations");
+  violations_counter_ = &registry.counter("conformance.violations");
 }
 
 void ConformanceMonitor::set_fault_context(
@@ -136,10 +130,7 @@ void ConformanceMonitor::close_window() {
     last_signed_[c] = observed / target - 1.0;
     err_sum_ += error;
     if (error > err_max_) err_max_ = error;
-    if (metrics_ != nullptr) {
-      metrics_->gauge("conformance.err." + namer_(c) + "_" + namer_(c + 1))
-          .set(error);
-    }
+    if (!err_gauges_.empty()) err_gauges_[c]->set(error);
     if (error > options_.tolerance) {
       if (!fault_queried) {
         if (fault_context_) fault = fault_context_();
@@ -156,7 +147,7 @@ void ConformanceMonitor::close_window() {
       v.fault = fault;
       ++per_pair_violations_[c];
       if (!fault.empty()) ++during_faults_;
-      if (metrics_ != nullptr) metrics_->counter("conformance.violations").inc();
+      if (violations_counter_ != nullptr) violations_counter_->inc();
       if (sink_) sink_(v);
       violations_.push_back(std::move(v));
     }
@@ -192,13 +183,15 @@ ViolationLog::ViolationLog(const std::string& path,
 ViolationLog::~ViolationLog() = default;
 
 void ViolationLog::write(const ConformanceViolation& v) {
-  std::ostream& os = out_->stream();
-  os << "{\"window\":" << v.window << ",\"t0\":" << fmt(v.t0)
-     << ",\"t1\":" << fmt(v.t1) << ",\"lo\":\"" << namer_(v.lo)
+  std::string line;
+  TextAppender os(line);
+  os << "{\"window\":" << v.window << ",\"t0\":" << v.t0
+     << ",\"t1\":" << v.t1 << ",\"lo\":\"" << namer_(v.lo)
      << "\",\"hi\":\"" << namer_(v.lo + 1)
-     << "\",\"observed\":" << fmt(v.observed)
-     << ",\"target\":" << fmt(v.target) << ",\"error\":" << fmt(v.error)
+     << "\",\"observed\":" << v.observed
+     << ",\"target\":" << v.target << ",\"error\":" << v.error
      << ",\"fault\":\"" << v.fault << "\"}\n";
+  out_->stream().write(line.data(), static_cast<std::streamsize>(line.size()));
   ++written_;
 }
 

@@ -31,6 +31,8 @@
 namespace pds {
 
 class MetricsRegistry;
+class Gauge;
+class Counter;
 class AtomicOutFile;
 
 struct ConformanceOptions {
@@ -77,7 +79,8 @@ class ConformanceMonitor {
 
   // Optional integrations, all bound before the run starts:
   //  * metrics: per-pair gauges `conformance.err.<lo>_<hi>` (latest window's
-  //    defined error) and counter `conformance.violations`.
+  //    defined error) and counter `conformance.violations`, resolved once
+  //    here (name them with set_class_namer first).
   //  * fault context: called at window close to stamp violations with the
   //    currently active fault episodes (e.g. FaultInjector::active_summary).
   //  * sink: invoked once per violation as it is detected (JSONL streaming).
@@ -122,7 +125,8 @@ class ConformanceMonitor {
   std::function<std::string(ClassId)> namer_;
   std::function<std::string()> fault_context_;
   std::function<void(const ConformanceViolation&)> sink_;
-  MetricsRegistry* metrics_ = nullptr;
+  std::vector<Gauge*> err_gauges_;  // per pair; empty until bind_metrics
+  Counter* violations_counter_ = nullptr;
 
   SimTime bucket_start_ = 0.0;
   std::vector<double> sum_;

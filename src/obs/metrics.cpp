@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/number_text.hpp"
 
 namespace pds {
 
@@ -43,16 +44,6 @@ void MetricsRegistry::reset_windows() {
 
 // ------------------------------------------------------------------ writer
 
-namespace {
-
-std::string fmt(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 MetricsFormat MetricsSnapshotWriter::format_for_path(const std::string& path) {
   const auto dot = path.rfind('.');
   if (dot != std::string::npos && path.substr(dot) == ".jsonl") {
@@ -89,50 +80,53 @@ void MetricsSnapshotWriter::flush() {
 
 void MetricsSnapshotWriter::write_snapshot(SimTime now) {
   if (pre_snapshot_) pre_snapshot_(now);
-  std::ostream& out_stream = out_.stream();
-  const std::string t = fmt(now);
+  buf_.clear();
+  TextAppender out(buf_);
+  char time[kNumberTextMax];
+  const std::string_view t(time, to_text(time, now));  // rendered once
   if (format_ == MetricsFormat::kCsv) {
     for (const auto& [name, c] : registry_.counters()) {
-      out_stream << t << ',' << name << ",counter," << c.total() << ','
-           << c.window_delta() << ",,,,\n";
+      out << t << ',' << name << ",counter," << c.total() << ','
+          << c.window_delta() << ",,,,\n";
     }
     for (const auto& [name, g] : registry_.gauges()) {
-      out_stream << t << ',' << name << ",gauge," << fmt(g.value()) << ",,,,,\n";
+      out << t << ',' << name << ",gauge," << g.value() << ",,,,,\n";
     }
     for (const auto& [name, s] : registry_.summaries()) {
       const RunningStats& w = s.window();
-      out_stream << t << ',' << name << ",summary,," << w.count();
+      out << t << ',' << name << ",summary,," << w.count();
       if (w.count() > 0) {
-        out_stream << ',' << fmt(w.mean()) << ',' << fmt(w.stddev()) << ','
-             << fmt(w.min()) << ',' << fmt(w.max());
+        out << ',' << w.mean() << ',' << w.stddev() << ',' << w.min() << ','
+            << w.max();
       } else {
-        out_stream << ",,,,";
+        out << ",,,,";
       }
-      out_stream << '\n';
+      out << '\n';
     }
   } else {
     for (const auto& [name, c] : registry_.counters()) {
-      out_stream << "{\"time\":" << t << ",\"name\":\"" << name
-           << "\",\"type\":\"counter\",\"value\":" << c.total()
-           << ",\"count\":" << c.window_delta() << "}\n";
+      out << "{\"time\":" << t << ",\"name\":\"" << name
+          << "\",\"type\":\"counter\",\"value\":" << c.total()
+          << ",\"count\":" << c.window_delta() << "}\n";
     }
     for (const auto& [name, g] : registry_.gauges()) {
-      out_stream << "{\"time\":" << t << ",\"name\":\"" << name
-           << "\",\"type\":\"gauge\",\"value\":" << fmt(g.value()) << "}\n";
+      out << "{\"time\":" << t << ",\"name\":\"" << name
+          << "\",\"type\":\"gauge\",\"value\":" << g.value() << "}\n";
     }
     for (const auto& [name, s] : registry_.summaries()) {
       const RunningStats& w = s.window();
-      out_stream << "{\"time\":" << t << ",\"name\":\"" << name
-           << "\",\"type\":\"summary\",\"count\":" << w.count();
+      out << "{\"time\":" << t << ",\"name\":\"" << name
+          << "\",\"type\":\"summary\",\"count\":" << w.count();
       if (w.count() > 0) {
-        out_stream << ",\"mean\":" << fmt(w.mean())
-             << ",\"stddev\":" << fmt(w.stddev())
-             << ",\"min\":" << fmt(w.min()) << ",\"max\":" << fmt(w.max());
+        out << ",\"mean\":" << w.mean() << ",\"stddev\":" << w.stddev()
+            << ",\"min\":" << w.min() << ",\"max\":" << w.max();
       }
-      out_stream << "}\n";
+      out << "}\n";
     }
   }
-  out_stream.flush();
+  // One write per snapshot and no flush: the file is published only at
+  // close(), so no reader could see an intermediate flush anyway.
+  out_.stream().write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
   registry_.reset_windows();
   last_time_ = now;
   ++snapshots_;

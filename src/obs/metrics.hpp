@@ -174,6 +174,7 @@ class MetricsSnapshotWriter {
   std::function<void(SimTime)> pre_snapshot_;
   SimTime last_time_ = -1.0;
   std::uint64_t snapshots_ = 0;
+  std::string buf_;  // one snapshot's rows, reused across snapshots
   std::unique_ptr<PeriodicProcess> ticker_;
 };
 

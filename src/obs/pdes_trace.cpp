@@ -1,11 +1,11 @@
 #include "obs/pdes_trace.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <tuple>
 
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
+#include "util/number_text.hpp"
 
 namespace pds {
 
@@ -28,12 +28,12 @@ void PdesTrace::record_round(std::uint64_t round,
     const SimTime to = std::max(bounds[s], from);
     prev_[s] = to;
     if (processed[s] == 0) continue;
-    std::ostringstream args;
-    args << "\"round\":" << round << ",\"work\":" << processed[s]
-         << ",\"backlogged\":" << backlogged[s];
+    std::string args;
+    TextAppender(args) << "\"round\":" << round << ",\"work\":"
+                       << processed[s] << ",\"backlogged\":" << backlogged[s];
     buffers_[s].emit(Span{from * scale_, (to - from) * scale_, kSpanPdesPid,
                           static_cast<std::uint32_t>(s), "pdes.window",
-                          "pdes", args.str()});
+                          "pdes", std::move(args)});
   }
 }
 

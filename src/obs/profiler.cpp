@@ -1,6 +1,7 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
+#include <map>
 #include <ostream>
 
 #include "util/table.hpp"
@@ -16,19 +17,28 @@ void SimProfiler::on_event_begin(SimTime, const char* /*label*/,
 void SimProfiler::on_event_end(SimTime, const char* label) noexcept {
   const double secs =
       std::chrono::duration<double>(Clock::now() - started_).count();
-  // noexcept contract: an allocation failure here would terminate, which is
-  // acceptable for a diagnostics tool.
-  Agg& agg = by_label_[label != nullptr ? label : "(unlabeled)"];
-  ++agg.events;
-  agg.wall_seconds += secs;
+  if (last_ >= by_label_.size() || by_label_[last_].label != label) {
+    last_ = 0;
+    while (last_ < by_label_.size() && by_label_[last_].label != label) ++last_;
+    // noexcept contract: an allocation failure here would terminate, which
+    // is acceptable for a diagnostics tool.
+    if (last_ == by_label_.size()) by_label_.push_back(Agg{label});
+  }
+  ++by_label_[last_].events;
+  by_label_[last_].wall_seconds += secs;
   ++total_events_;
   total_wall_ += secs;
 }
 
 std::vector<SimProfiler::Category> SimProfiler::categories() const {
+  std::map<std::string, Agg> by_text;
+  for (const Agg& agg : by_label_) {
+    Agg& merged = by_text[agg.label != nullptr ? agg.label : "(unlabeled)"];
+    merged.events += agg.events;
+    merged.wall_seconds += agg.wall_seconds;
+  }
   std::vector<Category> out;
-  out.reserve(by_label_.size());
-  for (const auto& [label, agg] : by_label_) {
+  for (const auto& [label, agg] : by_text) {
     out.push_back(Category{label, agg.events, agg.wall_seconds});
   }
   std::sort(out.begin(), out.end(), [](const Category& a, const Category& b) {
@@ -40,12 +50,7 @@ std::vector<SimProfiler::Category> SimProfiler::categories() const {
   return out;
 }
 
-void SimProfiler::reset() {
-  by_label_.clear();
-  depth_ = RunningStats{};
-  total_events_ = 0;
-  total_wall_ = 0.0;
-}
+void SimProfiler::reset() { *this = SimProfiler(); }
 
 void SimProfiler::print(std::ostream& os) const {
   TablePrinter table({"category", "events", "wall (ms)", "share %",

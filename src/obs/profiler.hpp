@@ -7,15 +7,15 @@
 // occupancy distribution that decides between the binary heap and the
 // calendar queue (see dsim/event_queue.hpp).
 //
-// Overhead when attached is two steady_clock reads plus a hash-map upsert
-// per event; when not attached the kernel pays a single null check.
+// Overhead when attached is two steady_clock reads plus a label-pointer
+// compare per event (a short scan only when the label changes); when not
+// attached the kernel pays a single null check.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dsim/simulator.hpp"
@@ -35,7 +35,7 @@ class SimProfiler final : public SimMonitor {
                       std::size_t pending) noexcept override;
   void on_event_end(SimTime now, const char* label) noexcept override;
 
-  // Categories sorted by descending wall time.
+  // Categories sorted by descending wall time; labels with equal text merge.
   std::vector<Category> categories() const;
 
   std::uint64_t total_events() const noexcept { return total_events_; }
@@ -51,13 +51,15 @@ class SimProfiler final : public SimMonitor {
 
  private:
   struct Agg {
+    const char* label = nullptr;  // by address; null = unlabeled
     std::uint64_t events = 0;
     double wall_seconds = 0.0;
   };
 
   using Clock = std::chrono::steady_clock;
 
-  std::unordered_map<std::string, Agg> by_label_;
+  std::vector<Agg> by_label_;  // one entry per distinct label address
+  std::size_t last_ = 0;       // the previous event's entry
   RunningStats depth_;
   Clock::time_point started_{};
   std::uint64_t total_events_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <stdexcept>
 
 #include "exp/supervisor.hpp"
@@ -11,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "util/atomic_file.hpp"
+#include "util/number_text.hpp"
 
 namespace pds {
 
@@ -36,12 +36,6 @@ void append_escaped(std::string& out, const std::string& s) {
     }
   }
   out += '"';
-}
-
-std::string fmt(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 }  // namespace
@@ -93,21 +87,15 @@ void Json::render(std::string& out) const {
     case Kind::kBool:
       out += bool_ ? "true" : "false";
       break;
-    case Kind::kInt: {
-      std::ostringstream os;
-      os << int_;
-      out += os.str();
+    case Kind::kInt:
+      TextAppender(out) << int_;
       break;
-    }
-    case Kind::kUint: {
-      std::ostringstream os;
-      os << uint_;
-      out += os.str();
+    case Kind::kUint:
+      TextAppender(out) << uint_;
       break;
-    }
     case Kind::kDouble:
       if (std::isfinite(double_)) {
-        out += fmt(double_);
+        TextAppender(out) << double_;
       } else {
         out += "null";
       }

@@ -45,7 +45,7 @@ struct CellFailure;
 // Minimal JSON value: null, bool, integer, double, string, array, object.
 // Objects preserve insertion order (reports read top-down); doubles render
 // with ostream default precision (the repo-wide convention, see
-// obs/metrics.cpp), non-finite doubles render as null.
+// util/number_text.hpp), non-finite doubles render as null.
 class Json {
  public:
   Json() = default;  // null

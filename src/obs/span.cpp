@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "util/atomic_file.hpp"
+#include "util/number_text.hpp"
 
 namespace pds {
 
@@ -269,12 +270,12 @@ void KernelSpanMonitor::finish() { flush(); }
 
 void KernelSpanMonitor::flush() {
   if (!open_) return;
-  std::ostringstream args;
-  args << "\"count\":" << count_;
+  std::string args = "\"count\":";
+  TextAppender(args) << count_;
   buffer_.emit(Span{first_ * scale_, (last_ - first_) * scale_, kSpanSimPid,
                     kSpanKernelTid,
                     label_ != nullptr ? std::string(label_) : "(event)",
-                    "kernel", args.str()});
+                    "kernel", std::move(args)});
   open_ = false;
   label_ = nullptr;
   count_ = 0;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/number_text.hpp"
 
 namespace pds {
 
@@ -47,7 +48,7 @@ TraceEventKind trace_event_kind_from_string(const std::string& s) {
 }
 
 PacketTracer::PacketTracer(double sample_rate, std::uint64_t seed)
-    : sample_rate_(sample_rate), seed_(seed) {
+    : sample_rate_(sample_rate), seed_key_(mix64(seed)) {
   PDS_CHECK(sample_rate >= 0.0 && sample_rate <= 1.0,
             "sample rate must be in [0,1]");
   if (sample_rate >= 1.0) {
@@ -61,7 +62,7 @@ PacketTracer::PacketTracer(double sample_rate, std::uint64_t seed)
 bool PacketTracer::sampled(std::uint64_t packet_id) const noexcept {
   if (sample_rate_ >= 1.0) return true;
   if (sample_rate_ <= 0.0) return false;
-  return mix64(packet_id ^ mix64(seed_)) < threshold_;
+  return mix64(packet_id ^ seed_key_) < threshold_;
 }
 
 void PacketTracer::record(const Packet& p, const ProbeContext& ctx,
@@ -100,13 +101,22 @@ void PacketTracer::on_drop(const Packet& p, const ProbeContext& ctx,
 void PacketTracer::save(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open trace file: " + path);
-  out << "time,packet_id,event,class,hop,size_bytes,wait,"
-         "backlog_packets,backlog_bytes\n";
+  // Rows render into a buffer written out in 64 KiB chunks, so saving never
+  // holds the whole trace text in memory.
+  std::string buf =
+      "time,packet_id,event,class,hop,size_bytes,wait,"
+      "backlog_packets,backlog_bytes\n";
+  TextAppender row(buf);
   for (const auto& r : records_) {
-    out << r.time << ',' << r.packet_id << ',' << to_string(r.kind) << ','
+    row << r.time << ',' << r.packet_id << ',' << to_string(r.kind) << ','
         << r.cls << ',' << r.hop << ',' << r.size_bytes << ',' << r.wait
         << ',' << r.backlog_packets << ',' << r.backlog_bytes << '\n';
+    if (buf.size() >= 64 * 1024) {
+      out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+      buf.clear();
+    }
   }
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   PDS_CHECK(static_cast<bool>(out), "write failure: " + path);
 }
 

@@ -77,7 +77,7 @@ class PacketTracer final : public PacketProbe {
               TraceEventKind kind, double wait);
 
   double sample_rate_;
-  std::uint64_t seed_;
+  std::uint64_t seed_key_;   // mix64(seed), hoisted out of sampled()
   std::uint64_t threshold_;  // sample iff hash(id) < threshold_
   std::vector<TraceRecord> records_;
 };

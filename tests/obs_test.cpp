@@ -408,5 +408,38 @@ TEST(SimProfiler, AttributesEventsToLabels) {
   EXPECT_EQ(profiler.queue_depth().count(), 6u);
 }
 
+TEST(SimProfiler, MergesEqualLabelsAtDifferentAddresses) {
+  // Two translation units may each hold their own copy of a label literal;
+  // the profiler keys on the address but must report one category.
+  static const char kWorkA[] = "work";
+  static const char kWorkB[] = "work";
+  ASSERT_NE(static_cast<const void*>(kWorkA),
+            static_cast<const void*>(kWorkB));
+  Simulator sim;
+  SimProfiler profiler;
+  sim.set_monitor(&profiler);
+  for (int i = 0; i < 6; ++i) {
+    sim.schedule_at(static_cast<SimTime>(i), [] {},
+                    i % 2 == 0 ? kWorkA : kWorkB);
+  }
+  sim.schedule_at(10.0, [] {}, "other");
+  sim.run();
+  sim.set_monitor(nullptr);
+
+  const auto cats = profiler.categories();
+  ASSERT_EQ(cats.size(), 2u);
+  std::uint64_t work_events = 0;
+  for (const auto& cat : cats) {
+    if (cat.label == "work") work_events = cat.events;
+  }
+  EXPECT_EQ(work_events, 6u);
+  EXPECT_EQ(profiler.total_events(), 7u);
+
+  profiler.reset();
+  EXPECT_TRUE(profiler.categories().empty());
+  EXPECT_EQ(profiler.total_events(), 0u);
+  EXPECT_EQ(profiler.queue_depth().count(), 0u);
+}
+
 }  // namespace
 }  // namespace pds

@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 
 #include "util/args.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
+#include "util/number_text.hpp"
 #include "util/table.hpp"
 
 namespace pds {
@@ -302,6 +309,105 @@ TEST(CsvWriter, UnwindingDiscardsThePartialFile) {
   // Neither the final file nor the temp file survives the exception.
   EXPECT_FALSE(file_exists(path));
   EXPECT_FALSE(file_exists(path + ".tmp"));
+}
+
+// --------------------------------------------------------------- number text
+
+// The reference every telemetry sink used to print through.
+template <class T>
+std::string stream_text(T v) {
+  std::ostringstream os;
+  os << v;
+  return os.str();
+}
+
+template <class T>
+std::string number_text(T v) {
+  std::string out;
+  TextAppender(out) << v;
+  return out;
+}
+
+TEST(NumberText, DoublesMatchTheStreamOnAFixedCorpus) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double corpus[] = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 2.0 / 3.0, 11.2, 1120.0, 1e6, -1e6,
+      // %g switches to scientific below 1e-4 and at 10^precision.
+      1e-5, 9.99999e-5, 1e-4, 1.00001e-4, 999999.0, 999999.4, 999999.5,
+      999999.6, 1e6 - 1e-9, 1234567.0,
+      // Rounding at the sixth significant digit.
+      0.1234565, 1.0000005, 9.9999949, 9.9999951, 123456.5, 2.5e-7,
+      // Extremes.
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MAX,
+      -DBL_MAX, DBL_EPSILON, inf, -inf, nan, -nan};
+  for (const double v : corpus) {
+    EXPECT_EQ(number_text(v), stream_text(v))
+        << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+  }
+}
+
+TEST(NumberText, DoublesMatchTheStreamOnRandomBitPatterns) {
+  std::mt19937_64 rng(20261017);
+  std::uint64_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    if (number_text(v) != stream_text(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex
+                    << std::bit_cast<std::uint64_t>(v) << ": "
+                    << number_text(v) << " vs " << stream_text(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(NumberText, DoublesMatchTheStreamOnSinkSizedValues) {
+  // Random bit patterns are mostly huge or tiny exponents; the sinks print
+  // delays, ratios and times, so also sweep decimal values of a few digits
+  // around the rounding boundaries.
+  std::mt19937_64 rng(7);
+  std::uniform_int_distribution<std::int64_t> mantissa(-99'999'999,
+                                                       99'999'999);
+  std::uniform_int_distribution<int> exponent(-12, 12);
+  std::uint64_t mismatches = 0;
+  for (int i = 0; i < 300'000; ++i) {
+    const double v = static_cast<double>(mantissa(rng)) *
+                     std::pow(10.0, exponent(rng));
+    if (number_text(v) != stream_text(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << number_text(v) << " vs " << stream_text(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+template <class T>
+void expect_integer_extremes_match() {
+  for (const T v : {std::numeric_limits<T>::min(),
+                    std::numeric_limits<T>::max(), T{0}, T{1}}) {
+    EXPECT_EQ(number_text(v), stream_text(v));
+  }
+}
+
+TEST(NumberText, IntegersMatchTheStreamAtEveryWidth) {
+  expect_integer_extremes_match<short>();
+  expect_integer_extremes_match<unsigned short>();
+  expect_integer_extremes_match<int>();
+  expect_integer_extremes_match<unsigned>();
+  expect_integer_extremes_match<long>();
+  expect_integer_extremes_match<unsigned long>();
+  expect_integer_extremes_match<long long>();
+  expect_integer_extremes_match<unsigned long long>();
+  expect_integer_extremes_match<std::uint32_t>();
+  expect_integer_extremes_match<std::uint64_t>();
+}
+
+TEST(NumberText, AppenderChainsTextAndNumbersOntoTheString) {
+  std::string row = "t=";
+  const std::string name = "delay.c1";
+  TextAppender(row) << 1.5 << ',' << name << ",counter," << std::uint64_t{42}
+                    << '\n';
+  EXPECT_EQ(row, "t=1.5,delay.c1,counter,42\n");
 }
 
 // ----------------------------------------------------------------- contracts
