@@ -44,21 +44,39 @@ SWEEP_A="$(mktemp)"; SWEEP_B="$(mktemp)"
 diff "${SWEEP_A}" "${SWEEP_B}"
 rm -f "${SWEEP_A}" "${SWEEP_B}"
 
-echo "== sharded kernel: --shards byte-identity on every shipped scenario =="
-# The conservative-PDES kernel's contract: any --shards=N produces the exact
-# stdout of the serial run — graph scenarios (ring, fat_tree) exercise real
-# cross-shard channels, bare-link scenarios collapse onto shard 0.
-SHARD_A="$(mktemp)"; SHARD_B="$(mktemp)"
-for pds in examples/scenarios/*.pds; do
-  ./build/examples/netsim_cli --file="${pds}" --quick > "${SHARD_A}"
-  for n in 2 4; do
-    echo "   ${pds} --shards=${n}"
-    ./build/examples/netsim_cli --file="${pds}" --quick --shards="${n}" \
-      > "${SHARD_B}"
-    diff "${SHARD_A}" "${SHARD_B}"
-  done
+echo "== bad input: line-numbered errors, never a crash =="
+# Each repro below once escaped the grammars: 1e999 as a bare "stod" error,
+# nan into a contract check that names a source file, inf and size=-5 into
+# a run on nonsense values. Every one must exit non-zero with a "line N:"
+# message and neither of those failure signatures on stderr.
+BAD_DIR="$(mktemp -d)"
+RING=examples/scenarios/ring.pds
+for bad in 1e999 nan inf; do
+  sed "s/capacity=39.375/capacity=${bad}/" "${RING}" \
+    > "${BAD_DIR}/capacity_${bad}.pds"
 done
-rm -f "${SHARD_A}" "${SHARD_B}"
+for bad in -5 0.5; do
+  sed "0,/size=441/s//size=${bad}/" "${RING}" > "${BAD_DIR}/size_${bad}.pds"
+done
+printf 'seed 1e999\n' > "${BAD_DIR}/fault_plan.txt"
+printf 'retune n0>n1 at=nan w=1,3,9,27\n' > "${BAD_DIR}/control_plan.txt"
+expect_line_error() {
+  local err="${BAD_DIR}/stderr"
+  echo "   $*"
+  if ./build/examples/netsim_cli --quick "$@" >/dev/null 2>"${err}"; then
+    echo "accepted bad input: $*"; exit 1
+  fi
+  if ! grep -qE 'line [0-9]+:' "${err}" || grep -qE 'stod|check failed' "${err}"; then
+    echo "bad input not reported as a line-numbered error: $*"
+    cat "${err}"; exit 1
+  fi
+}
+for pds in "${BAD_DIR}"/*.pds; do
+  expect_line_error --file="${pds}"
+done
+expect_line_error --file="${RING}" --fault-plan="${BAD_DIR}/fault_plan.txt"
+expect_line_error --file="${RING}" --control-plan="${BAD_DIR}/control_plan.txt"
+rm -rf "${BAD_DIR}"
 
 echo "== control plane: reconfigured-run determinism + controller smoke =="
 # A controlled run must stay byte-identical for any --jobs: every
@@ -173,16 +191,14 @@ echo "== sanitizers: TSan build + threaded suites (experiment engine) =="
 # Only the suites that exercise threads are run: the experiment engine
 # (pool/steal/exception paths), the kernel it drives concurrently, the
 # scenario suite (its controlled-sweep byte-identity test fans a
-# reconfigured run over the pool), and the sharded-PDES suite (its window
-# rounds run shard replicas on pool workers with SPSC channel handoffs).
+# reconfigured run over the pool).
 cmake -B build-tsan -S . -DPDS_TSAN=ON -DPDS_BUILD_BENCH=OFF \
   -DPDS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
-  --target exp_test dsim_test supervisor_test scenario_test pdes_test
+  --target exp_test dsim_test supervisor_test scenario_test
 ./build-tsan/tests/exp_test
 ./build-tsan/tests/dsim_test
 ./build-tsan/tests/supervisor_test
 ./build-tsan/tests/scenario_test
-./build-tsan/tests/pdes_test
 
 echo "== all checks passed =="

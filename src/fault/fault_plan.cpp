@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/number_parse.hpp"
+
 namespace pds {
 
 std::string to_string(FaultKind kind) {
@@ -47,14 +49,9 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 double to_number(const std::string& raw, std::size_t line_no) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(raw, &pos);
-    if (pos != raw.size()) fail(line_no, "malformed number: " + raw);
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(line_no, "malformed number: " + raw);
-  }
+  const ParsedNumber n = parse_finite(raw);
+  if (n.error != nullptr) fail(line_no, std::string(n.error) + ": " + raw);
+  return n.value;
 }
 
 // key=value options after the positional tokens (same idiom as the

@@ -1,26 +1,26 @@
 #include "net/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 
 #include "ctrl/control_injector.hpp"
 #include "ctrl/control_plan.hpp"
-#include "dsim/shard.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/flows.hpp"
-#include "net/partition.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
-#include "obs/pdes_trace.hpp"
 #include "obs/report.hpp"
-#include "sched/scan.hpp"
 #include "sched/scheduler.hpp"
 #include "stats/percentile.hpp"
 #include "traffic/source.hpp"
 #include "util/contracts.hpp"
+#include "util/number_parse.hpp"
 
 namespace pds {
 
@@ -120,14 +120,9 @@ class Options {
 
  private:
   double to_number(const std::string& raw) const {
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(raw, &pos);
-      if (pos != raw.size()) fail(line_no_, "malformed number: " + raw);
-      return v;
-    } catch (const std::invalid_argument&) {
-      fail(line_no_, "malformed number: " + raw);
-    }
+    const ParsedNumber n = parse_finite(raw);
+    if (n.error != nullptr) fail(line_no_, std::string(n.error) + ": " + raw);
+    return n.value;
   }
 
   std::size_t line_no_;
@@ -143,14 +138,27 @@ struct ParseGraph {
   std::set<std::string> route_names;
 };
 
-// Positive-integer option with a clean per-line error.
-std::uint32_t integer(Options& opts, const std::string& key,
-                      std::size_t line_no) {
-  const double v = opts.number(key);
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::uint64_t>(v))) {
-    fail(line_no, key + " must be a non-negative integer");
+// Integer option value in [0, 2^32) — or [1, 2^32) when `positive` — with a
+// clean per-line error instead of a truncating or undefined cast.
+std::uint32_t checked_integer(double v, const std::string& key, bool positive,
+                              std::size_t line_no) {
+  if (v < (positive ? 1.0 : 0.0) ||
+      v > static_cast<double>(std::numeric_limits<std::uint32_t>::max()) ||
+      v != std::floor(v)) {
+    fail(line_no, key + (positive ? " must be a positive integer"
+                                  : " must be a non-negative integer"));
   }
   return static_cast<std::uint32_t>(v);
+}
+
+std::uint32_t integer(Options& opts, const std::string& key,
+                      std::size_t line_no, bool positive = false) {
+  return checked_integer(opts.number(key), key, positive, line_no);
+}
+
+std::uint32_t integer_or(Options& opts, const std::string& key,
+                         std::uint32_t def, std::size_t line_no) {
+  return checked_integer(opts.number_or(key, def), key, false, line_no);
 }
 
 // Optional burst=<k> option: packets drained per scheduler decision.
@@ -169,7 +177,7 @@ std::uint32_t parse_burst(Options& opts, std::size_t line_no) {
 // (the paper's lossless link).
 std::uint64_t parse_buffer(Options& opts, std::size_t line_no) {
   const double v = opts.number_or("buffer", 0.0);
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::uint64_t>(v))) {
+  if (v < 0.0 || v > 0x1p53 || v != std::floor(v)) {
     fail(line_no, "buffer must be a non-negative packet count");
   }
   return static_cast<std::uint64_t>(v);
@@ -374,11 +382,10 @@ Scenario parse_scenario(const std::string& text) {
 
       Options opts(tokens, 3, line_no);
       src.start = opts.number_or("start", 0.0);
-      src.size_bytes =
-          static_cast<std::uint32_t>(opts.number("size"));
+      src.size_bytes = integer(opts, "size", line_no, /*positive=*/true);
       switch (src.kind) {
         case ScenarioSourceKind::kRenewal:
-          src.cls = static_cast<ClassId>(opts.number("class"));
+          src.cls = integer(opts, "class", line_no);
           src.gap = opts.number("gap");
           src.pareto_alpha =
               opts.flag("poisson") ? 0.0 : opts.number_or("pareto", 1.9);
@@ -390,8 +397,8 @@ Scenario parse_scenario(const std::string& text) {
               opts.flag("poisson") ? 0.0 : opts.number_or("pareto", 1.9);
           break;
         case ScenarioSourceKind::kCbr:
-          src.cls = static_cast<ClassId>(opts.number("class"));
-          src.count = static_cast<std::uint32_t>(opts.number("count"));
+          src.cls = integer(opts, "class", line_no);
+          src.count = integer(opts, "count", line_no, /*positive=*/true);
           src.interval = opts.number("interval");
           break;
       }
@@ -409,14 +416,12 @@ Scenario parse_scenario(const std::string& text) {
       f.users = integer(opts, "users", line_no);
       f.size_bytes = integer(opts, "size", line_no);
       f.think_mean = opts.number("think");
-      f.request_packets =
-          static_cast<std::uint32_t>(opts.number_or("request", 1.0));
-      f.response_packets = static_cast<std::uint32_t>(
-          opts.number_or("response", f.request_packets));
+      f.request_packets = integer_or(opts, "request", 1, line_no);
+      f.response_packets =
+          integer_or(opts, "response", f.request_packets, line_no);
       f.deadline = opts.number_or("deadline", 0.0);
       f.rto = opts.number_or("rto", 0.0);
-      f.max_retries =
-          static_cast<std::uint32_t>(opts.number_or("retries", 0.0));
+      f.max_retries = integer_or(opts, "retries", 0, line_no);
       f.backoff = opts.number_or("backoff", 2.0);
       f.rto_cap = opts.number_or("rto_cap", 0.0);
       f.throttle_tokens = opts.number_or("throttle", 0.0);
@@ -465,6 +470,9 @@ Scenario parse_scenario(const std::string& text) {
       scenario.run.seed =
           static_cast<std::uint64_t>(opts.number_or("seed", 1.0));
       opts.finish();
+      if (scenario.run.until <= scenario.run.warmup) {
+        fail(line_no, "run horizon must exceed the warmup");
+      }
     } else {
       fail(line_no, "unknown directive " + kind);
     }
@@ -476,150 +484,16 @@ Scenario parse_scenario(const std::string& text) {
   if (scenario.sources.empty() && scenario.flows.empty()) {
     throw std::invalid_argument("scenario defines no sources");
   }
-  PDS_CHECK(scenario.run.until > scenario.run.warmup,
-            "run horizon must exceed the warmup");
   return scenario;
 }
 
 namespace {
 
-// ===========================================================================
-// Execution machinery. The serial path and the sharded (--shards) path build
-// the simulation through the same Replica/build_replica code so that every
-// shard constructs state — and consumes its master Rng — in exactly the
-// order the serial run does; that construction-order identity is what makes
-// the sharded report byte-identical to the serial one.
-// ===========================================================================
-
-// Static sharding plan: the partition, per-route link paths (including the
-// auto-created reverse routes, appended in the same order run-time
-// construction creates them), exit-handler placement, and the lookahead
-// matrix. A pure function of the scenario and the shard count.
-struct ScenarioPlan {
-  std::uint32_t shards = 1;
-  Partition part;
-  std::vector<std::vector<LinkId>> route_paths;
-  std::vector<std::uint32_t> route_exit;  // shard running each exit handler
-  std::vector<SimTime> lookahead;         // shards x shards, flattened
-};
-
-ScenarioPlan plan_scenario(const Scenario& scenario, std::uint32_t shards,
-                           PartitionMethod method) {
-  ScenarioPlan plan;
-  plan.shards = shards;
-
-  std::map<std::string, NodeId> node_index;
-  for (std::size_t i = 0; i < scenario.nodes.size(); ++i) {
-    node_index[scenario.nodes[i]] = static_cast<NodeId>(i);
-  }
-  std::vector<GraphEdge> edges;
-  std::vector<double> capacities(scenario.links.size(), 0.0);
-  std::map<std::string, LinkId> link_index;
-  for (std::size_t i = 0; i < scenario.links.size(); ++i) {
-    const auto& link = scenario.links[i];
-    link_index[link.name] = static_cast<LinkId>(i);
-    capacities[i] = link.capacity;
-    if (!link.from.empty()) {
-      edges.push_back(GraphEdge{static_cast<std::uint32_t>(i),
-                                node_index.at(link.from),
-                                node_index.at(link.to)});
-    }
-  }
-
-  std::map<std::string, RouteId> route_ids;
-  for (std::size_t r = 0; r < scenario.routes.size(); ++r) {
-    const auto& route = scenario.routes[r];
-    std::vector<LinkId> path;
-    if (route.from.empty()) {
-      for (const auto& name : route.links) path.push_back(link_index.at(name));
-    } else {
-      path = shortest_path_links(static_cast<NodeId>(scenario.nodes.size()),
-                                 edges, node_index.at(route.from),
-                                 node_index.at(route.to));
-    }
-    PDS_REQUIRE(!path.empty());
-    route_ids[route.name] = static_cast<RouteId>(r);
-    plan.route_paths.push_back(std::move(path));
-  }
-
-  // Auto-created reverse routes get the ids run_scenario's flows loop will
-  // assign them (appended past the file routes, one per distinct forward
-  // route, in flows order).
-  std::map<std::string, RouteId> auto_reverse;
-  std::vector<std::pair<RouteId, RouteId>> flow_routes;
-  for (const auto& f : scenario.flows) {
-    const RouteId forward = route_ids.at(f.route);
-    RouteId reverse;
-    if (!f.reverse.empty()) {
-      reverse = route_ids.at(f.reverse);
-    } else {
-      const auto it = auto_reverse.find(f.route);
-      if (it != auto_reverse.end()) {
-        reverse = it->second;
-      } else {
-        const ScenarioRoute* route = find_route(scenario, f.route);
-        PDS_REQUIRE(route != nullptr && !route->from.empty());
-        auto back = shortest_path_links(
-            static_cast<NodeId>(scenario.nodes.size()), edges,
-            node_index.at(route->to), node_index.at(route->from));
-        PDS_REQUIRE(!back.empty());
-        reverse = static_cast<RouteId>(plan.route_paths.size());
-        plan.route_paths.push_back(std::move(back));
-        auto_reverse.emplace(f.route, reverse);
-      }
-    }
-    flow_routes.emplace_back(forward, reverse);
-  }
-
-  plan.part = partition_topology(
-      static_cast<std::uint32_t>(scenario.nodes.size()),
-      static_cast<std::uint32_t>(scenario.links.size()), edges, capacities,
-      shards, method);
-
-  // Exit handlers run where the last hop is owned — except flow routes,
-  // whose exits feed workload state living on shard 0.
-  plan.route_exit.resize(plan.route_paths.size());
-  for (std::size_t r = 0; r < plan.route_paths.size(); ++r) {
-    plan.route_exit[r] = plan.part.link_owner[plan.route_paths[r].back()];
-  }
-  for (const auto& [fwd, rev] : flow_routes) {
-    plan.route_exit[fwd] = 0;
-    plan.route_exit[rev] = 0;
-  }
-
-  double min_bytes = kSimTimeInfinity;
-  for (const auto& src : scenario.sources) {
-    min_bytes = std::min(min_bytes, static_cast<double>(src.size_bytes));
-  }
-  for (const auto& f : scenario.flows) {
-    min_bytes = std::min(min_bytes, static_cast<double>(f.size_bytes));
-  }
-  PDS_CHECK(min_bytes >= 1.0,
-            "sharded runs need every source size to be at least one byte");
-
-  plan.lookahead = make_lookahead(shards);
-  add_route_lookahead(plan.lookahead, plan.part, plan.route_paths,
-                      plan.route_exit, capacities, min_bytes);
-  // Workload injections: shard 0 hands request/response packets to the
-  // first hop's owner at the current time — zero lookahead, safe because
-  // shard 0 never has zero-lookahead in-edges (see net/partition.hpp).
-  for (const auto& [fwd, rev] : flow_routes) {
-    for (const RouteId r : {fwd, rev}) {
-      const std::uint32_t owner =
-          plan.part.link_owner[plan.route_paths[r].front()];
-      if (owner != 0) {
-        add_lookahead_edge(plan.lookahead, shards, 0, owner, 0.0);
-      }
-    }
-  }
-  return plan;
-}
-
-// One shard's complete simulation state — or the whole simulation when run
-// serially. Field order mirrors the old run_scenario local order so the
-// destruction sequence is unchanged.
-struct Replica {
-  explicit Replica(std::uint64_t seed) : master(seed), net(sim) {}
+// The whole simulation state of one scenario run. Field order fixes the
+// destruction sequence: sources and workloads go before the Network and
+// Simulator they reference.
+struct Simulation {
+  explicit Simulation(std::uint64_t seed) : master(seed), net(sim) {}
 
   Simulator sim;
   PacketIdAllocator ids;
@@ -640,27 +514,17 @@ struct Replica {
   std::vector<std::unique_ptr<RenewalSource>> renewals;
   std::vector<std::unique_ptr<ClassMixSource>> mixes;
   std::vector<std::unique_ptr<CbrFlowSource>> cbrs;
-  std::vector<bool> renewal_started;
-  std::vector<bool> mix_started;
   std::vector<std::unique_ptr<RpcWorkload>> workloads;
   std::unique_ptr<FaultInjector> injector;
   std::unique_ptr<ControlInjector> control;
 };
 
-using PublishFn = std::function<void(std::uint32_t, SimTime, Packet&&)>;
-
-// Builds one replica of the scenario. Serial runs pass plan == nullptr and
-// get the exact construction sequence run_scenario always had. Sharded runs
-// build the identical structure on every shard — same ids, same Rng split
-// order — but start a source only on the shard owning its route's first
-// link, start workloads only on shard 0, and bind the shard identity so
-// cross-cut transmissions publish instead of delivering locally.
-void build_replica(Replica& rep, const Scenario& scenario,
-                   const ScenarioOptions& options, double warmup,
-                   const ScenarioPlan* plan, std::uint32_t self,
-                   PublishFn publish) {
+// Builds the network, routes, sources, workloads and plans of `scenario`,
+// and starts every source and workload.
+void build_simulation(Simulation& run, const Scenario& scenario,
+                      const ScenarioOptions& options, double warmup) {
   for (const auto& name : scenario.nodes) {
-    rep.node_ids[name] = rep.net.add_node(name);
+    run.node_ids[name] = run.net.add_node(name);
   }
 
   for (const auto& link : scenario.links) {
@@ -670,57 +534,57 @@ void build_replica(Replica& rep, const Scenario& scenario,
     sc.burst = link.burst;
     const LinkId id =
         link.from.empty()
-            ? rep.net.add_link(link.kind, sc, link.capacity, link.name)
-            : rep.net.add_edge(rep.node_ids.at(link.from),
-                               rep.node_ids.at(link.to), link.kind, sc,
+            ? run.net.add_link(link.kind, sc, link.capacity, link.name)
+            : run.net.add_edge(run.node_ids.at(link.from),
+                               run.node_ids.at(link.to), link.kind, sc,
                                link.capacity, link.name);
-    if (link.buffer > 0) rep.net.make_lossy(id, link.buffer);
-    rep.link_ids[link.name] = id;
-    rep.max_classes = std::max(
-        rep.max_classes, static_cast<std::uint32_t>(link.sdp.size()));
+    if (link.buffer > 0) run.net.make_lossy(id, link.buffer);
+    run.link_ids[link.name] = id;
+    run.max_classes = std::max(
+        run.max_classes, static_cast<std::uint32_t>(link.sdp.size()));
   }
 
-  rep.samples.assign(scenario.routes.size(),
-                     std::vector<SampleSet>(rep.max_classes));
+  run.samples.assign(scenario.routes.size(),
+                     std::vector<SampleSet>(run.max_classes));
 
   for (std::size_t r = 0; r < scenario.routes.size(); ++r) {
     const auto& route = scenario.routes[r];
-    const auto handler = [&rep, warmup, r](const Packet& p, SimTime now) {
-      ++rep.total_exits;
-      if (now >= warmup && p.cls < rep.max_classes) {
-        rep.samples[r][p.cls].add(p.cum_queueing);
+    const auto handler = [&run, warmup, r](const Packet& p, SimTime now) {
+      ++run.total_exits;
+      if (now >= warmup && p.cls < run.max_classes) {
+        run.samples[r][p.cls].add(p.cum_queueing);
       }
-      for (RpcWorkload* wl : rep.flow_dispatch[p.route]) {
+      for (RpcWorkload* wl : run.flow_dispatch[p.route]) {
         wl->on_route_exit(p, now);
       }
     };
     if (route.from.empty()) {
       std::vector<LinkId> path;
       for (const auto& name : route.links) {
-        path.push_back(rep.link_ids.at(name));
+        path.push_back(run.link_ids.at(name));
       }
-      rep.route_ids[route.name] = rep.net.add_route(path, handler);
+      run.route_ids[route.name] = run.net.add_route(path, handler);
     } else {
-      rep.route_ids[route.name] = rep.net.add_route_between(
-          rep.node_ids.at(route.from), rep.node_ids.at(route.to), handler);
+      run.route_ids[route.name] = run.net.add_route_between(
+          run.node_ids.at(route.from), run.node_ids.at(route.to), handler);
     }
   }
 
   // Reverse routes for flows without an explicit reverse= (one per forward
   // route, shared between workloads). Their exits count toward total_exits
   // but carry no per-route stats row.
-  const auto reverse_handler = [&rep](const Packet& p, SimTime now) {
-    ++rep.total_exits;
-    for (RpcWorkload* wl : rep.flow_dispatch[p.route]) {
+  const auto reverse_handler = [&run](const Packet& p, SimTime now) {
+    ++run.total_exits;
+    for (RpcWorkload* wl : run.flow_dispatch[p.route]) {
       wl->on_route_exit(p, now);
     }
   };
   std::map<std::string, RouteId> auto_reverse;
   for (const auto& f : scenario.flows) {
-    const RouteId forward = rep.route_ids.at(f.route);
+    const RouteId forward = run.route_ids.at(f.route);
     RouteId reverse;
     if (!f.reverse.empty()) {
-      reverse = rep.route_ids.at(f.reverse);
+      reverse = run.route_ids.at(f.reverse);
     } else {
       const auto it = auto_reverse.find(f.route);
       if (it != auto_reverse.end()) {
@@ -728,29 +592,14 @@ void build_replica(Replica& rep, const Scenario& scenario,
       } else {
         const ScenarioRoute* route = find_route(scenario, f.route);
         PDS_REQUIRE(route != nullptr && !route->from.empty());
-        reverse = rep.net.add_route_between(rep.node_ids.at(route->to),
-                                            rep.node_ids.at(route->from),
+        reverse = run.net.add_route_between(run.node_ids.at(route->to),
+                                            run.node_ids.at(route->from),
                                             reverse_handler);
         auto_reverse.emplace(f.route, reverse);
       }
     }
-    rep.flow_routes.emplace_back(forward, reverse);
+    run.flow_routes.emplace_back(forward, reverse);
   }
-
-  const bool sharded = plan != nullptr && plan->shards > 1;
-  if (sharded) {
-    PDS_REQUIRE(plan->route_paths.size() == rep.net.num_routes());
-    ShardBinding binding;
-    binding.self = self;
-    binding.link_owner = plan->part.link_owner;
-    binding.route_exit_shard = plan->route_exit;
-    binding.publish = std::move(publish);
-    rep.net.bind_shard(std::move(binding));
-  }
-  const auto owns_route = [plan, self, sharded](RouteId route) {
-    return !sharded ||
-           plan->part.link_owner[plan->route_paths[route].front()] == self;
-  };
 
   const auto make_gaps = [](const ScenarioSource& src) {
     return src.pareto_alpha > 0.0 ? pareto_gaps(src.pareto_alpha, src.gap)
@@ -759,36 +608,31 @@ void build_replica(Replica& rep, const Scenario& scenario,
 
   // Rng split order: every source in file order, then every workload in
   // file order — adding flows to a scenario never perturbs the packet
-  // streams of its existing sources. Sharded runs construct (and split for)
-  // every source on every replica to keep this order, then start only the
-  // owned ones.
+  // streams of its existing sources.
   for (const auto& src : scenario.sources) {
-    const RouteId route = rep.route_ids.at(src.route);
-    Network& net = rep.net;
+    const RouteId route = run.route_ids.at(src.route);
+    Network& net = run.net;
     const auto handler = [&net, route](Packet p) {
       net.inject(std::move(p), route);
     };
-    const bool owned = owns_route(route);
     switch (src.kind) {
       case ScenarioSourceKind::kRenewal:
-        rep.renewals.push_back(std::make_unique<RenewalSource>(
-            rep.sim, rep.ids, src.cls, make_gaps(src),
-            fixed_size(src.size_bytes), rep.master.split(), handler));
-        rep.renewal_started.push_back(owned);
-        if (owned) rep.renewals.back()->start(src.start);
+        run.renewals.push_back(std::make_unique<RenewalSource>(
+            run.sim, run.ids, src.cls, make_gaps(src),
+            fixed_size(src.size_bytes), run.master.split(), handler));
+        run.renewals.back()->start(src.start);
         break;
       case ScenarioSourceKind::kMix:
-        rep.mixes.push_back(std::make_unique<ClassMixSource>(
-            rep.sim, rep.ids, src.fractions, make_gaps(src),
-            fixed_size(src.size_bytes), rep.master.split(), handler));
-        rep.mix_started.push_back(owned);
-        if (owned) rep.mixes.back()->start(src.start);
+        run.mixes.push_back(std::make_unique<ClassMixSource>(
+            run.sim, run.ids, src.fractions, make_gaps(src),
+            fixed_size(src.size_bytes), run.master.split(), handler));
+        run.mixes.back()->start(src.start);
         break;
       case ScenarioSourceKind::kCbr:
-        rep.cbrs.push_back(std::make_unique<CbrFlowSource>(
-            rep.sim, rep.ids, src.cls, kNoFlow - 1, src.count, src.size_bytes,
+        run.cbrs.push_back(std::make_unique<CbrFlowSource>(
+            run.sim, run.ids, src.cls, kNoFlow - 1, src.count, src.size_bytes,
             src.interval, handler));
-        if (owned) rep.cbrs.back()->start(src.start);
+        run.cbrs.back()->start(src.start);
         break;
     }
   }
@@ -809,83 +653,59 @@ void build_replica(Replica& rep, const Scenario& scenario,
     rc.rto_cap = f.rto_cap;
     rc.throttle_tokens = f.throttle_tokens;
     rc.throttle_ratio = f.throttle_ratio;
-    rep.workloads.push_back(std::make_unique<RpcWorkload>(
-        rep.sim, rep.net, rep.ids, rep.flow_ids, rep.flow_routes[i].first,
-        rep.flow_routes[i].second, rc, rep.master.split()));
-    rep.workloads.back()->set_warmup(warmup);
+    run.workloads.push_back(std::make_unique<RpcWorkload>(
+        run.sim, run.net, run.ids, run.flow_ids, run.flow_routes[i].first,
+        run.flow_routes[i].second, rc, run.master.split()));
+    run.workloads.back()->set_warmup(warmup);
   }
-  rep.flow_dispatch.assign(rep.net.num_routes(), {});
-  for (std::size_t i = 0; i < rep.workloads.size(); ++i) {
-    rep.flow_dispatch[rep.flow_routes[i].first].push_back(
-        rep.workloads[i].get());
-    if (rep.flow_routes[i].second != rep.flow_routes[i].first) {
-      rep.flow_dispatch[rep.flow_routes[i].second].push_back(
-          rep.workloads[i].get());
+  run.flow_dispatch.assign(run.net.num_routes(), {});
+  for (std::size_t i = 0; i < run.workloads.size(); ++i) {
+    run.flow_dispatch[run.flow_routes[i].first].push_back(
+        run.workloads[i].get());
+    if (run.flow_routes[i].second != run.flow_routes[i].first) {
+      run.flow_dispatch[run.flow_routes[i].second].push_back(
+          run.workloads[i].get());
     }
   }
-  // Workloads (and their closed-loop state machines) live on shard 0.
-  if (!sharded || self == 0) {
-    for (std::size_t i = 0; i < rep.workloads.size(); ++i) {
-      rep.workloads[i]->start(scenario.flows[i].start);
-    }
+  for (std::size_t i = 0; i < run.workloads.size(); ++i) {
+    run.workloads[i]->start(scenario.flows[i].start);
   }
 
-  // Fault and control plans are clock-driven, so arming them on every
-  // replica makes the episodes fire identically everywhere; each episode
-  // only has observable effect on the links the replica owns (the others
-  // carry no traffic).
   if (!options.fault_plan.empty()) {
-    rep.injector = std::make_unique<FaultInjector>(
-        rep.sim, parse_fault_plan(options.fault_plan));
-    attach_network(*rep.injector, rep.net);
-    rep.injector->arm();
+    run.injector = std::make_unique<FaultInjector>(
+        run.sim, parse_fault_plan(options.fault_plan));
+    attach_network(*run.injector, run.net);
+    run.injector->arm();
   }
   if (!options.control_plan.empty()) {
-    rep.control = std::make_unique<ControlInjector>(
-        rep.sim, parse_control_plan(options.control_plan));
-    attach_network(*rep.control, rep.net);
-    rep.control->arm();
+    run.control = std::make_unique<ControlInjector>(
+        run.sim, parse_control_plan(options.control_plan));
+    attach_network(*run.control, run.net);
+    run.control->arm();
   }
 }
 
-// Stops the open-loop sources that were started on this replica (the serial
-// path's post-run stop, applied per shard).
-void stop_sources(Replica& rep) {
-  for (std::size_t i = 0; i < rep.renewals.size(); ++i) {
-    if (rep.renewal_started[i]) rep.renewals[i]->stop();
-  }
-  for (std::size_t i = 0; i < rep.mixes.size(); ++i) {
-    if (rep.mix_started[i]) rep.mixes[i]->stop();
-  }
+// Stops the open-loop renewal and mix sources once the horizon is reached.
+void stop_sources(Simulation& run) {
+  for (auto& src : run.renewals) src->stop();
+  for (auto& src : run.mixes) src->stop();
 }
 
-// Assembles the ScenarioReport from the replica set. Serial runs pass
-// plan == nullptr and a single replica; sharded runs read each figure from
-// the one shard where it accumulated (exit shard for route stats, owning
-// shard for link stats, shard 0 for workloads and injector counters), so
-// the assembled report is the serial one, field for field.
 void fill_report(ScenarioReport& report, const Scenario& scenario,
-                 const ScenarioPlan* plan, Replica* const* replicas) {
-  Replica& home = *replicas[0];
-  const std::uint32_t shards = plan != nullptr ? plan->shards : 1;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    report.total_exits += replicas[s]->total_exits;
-  }
-
+                 const Simulation& run) {
+  report.total_exits = run.total_exits;
   for (std::size_t r = 0; r < scenario.routes.size(); ++r) {
-    Replica& ex = plan != nullptr ? *replicas[plan->route_exit[r]] : home;
-    for (ClassId c = 0; c < home.max_classes; ++c) {
-      const auto& set = ex.samples[r][c];
+    for (ClassId c = 0; c < run.max_classes; ++c) {
+      const auto& set = run.samples[r][c];
       if (set.empty()) continue;
       report.route_stats.push_back(ScenarioReport::RouteClassStats{
           scenario.routes[r].name, c, set.count(), set.mean(),
           set.percentile(95.0)});
     }
   }
+  const Network& net = run.net;
   for (const auto& link : scenario.links) {
-    const LinkId id = home.link_ids.at(link.name);
-    const Network& net =
-        plan != nullptr ? replicas[plan->part.link_owner[id]]->net : home.net;
+    const LinkId id = run.link_ids.at(link.name);
     ScenarioReport::LinkStats ls;
     ls.link = link.name;
     ls.sched = to_string(link.kind);
@@ -904,12 +724,12 @@ void fill_report(ScenarioReport& report, const Scenario& scenario,
     report.drain_drops += net.link(id).drain_drops();
     report.link_stats.push_back(std::move(ls));
   }
-  for (std::size_t i = 0; i < home.workloads.size(); ++i) {
-    const auto& st = home.workloads[i]->stats();
+  for (std::size_t i = 0; i < run.workloads.size(); ++i) {
+    const auto& st = run.workloads[i]->stats();
     ScenarioReport::FlowStats fs;
     fs.route = scenario.flows[i].route;
     fs.cls = scenario.flows[i].cls;
-    fs.users = home.workloads[i]->config().users;
+    fs.users = run.workloads[i]->config().users;
     fs.issued = st.issued;
     fs.completed = st.completed;
     fs.failed = st.failed;
@@ -926,226 +746,20 @@ void fill_report(ScenarioReport& report, const Scenario& scenario,
     fs.deadline = scenario.flows[i].deadline;
     report.flow_stats.push_back(std::move(fs));
   }
-  if (home.injector) {
+  if (run.injector) {
     report.faulted = true;
-    report.fault_episodes_scheduled = home.injector->scheduled_episodes();
-    report.fault_episodes = home.injector->episodes_completed();
+    report.fault_episodes_scheduled = run.injector->scheduled_episodes();
+    report.fault_episodes = run.injector->episodes_completed();
   }
-  if (home.control) {
+  if (run.control) {
     report.controlled = true;
-    report.control_episodes_scheduled = home.control->scheduled_episodes();
-    report.control_episodes = home.control->episodes_completed();
-    report.control_retunes = home.control->retunes_applied();
-    report.control_swaps = home.control->swaps_applied();
-    report.control_class_changes = home.control->class_changes_applied();
-    report.control_sheds = home.control->sheds_applied();
+    report.control_episodes_scheduled = run.control->scheduled_episodes();
+    report.control_episodes = run.control->episodes_completed();
+    report.control_retunes = run.control->retunes_applied();
+    report.control_swaps = run.control->swaps_applied();
+    report.control_class_changes = run.control->class_changes_applied();
+    report.control_sheds = run.control->sheds_applied();
   }
-}
-
-// A packet staged for delivery on a shard, tagged with its deterministic
-// merge key: (timestamp, source shard, per-channel sequence).
-struct RemoteMsg {
-  SimTime ts = 0.0;
-  std::uint32_t src = 0;
-  std::uint64_t seq = 0;
-  Packet p;
-};
-
-bool remote_before(const RemoteMsg& a, const RemoteMsg& b) {
-  if (a.ts != b.ts) return a.ts < b.ts;
-  if (a.src != b.src) return a.src < b.src;
-  return a.seq < b.seq;
-}
-
-// Per-shard runtime state the engine hooks close over: the replica plus the
-// staged inbox. `pos` marks the applied prefix; the tail past it is sorted
-// at the top of every window (new splices land unsorted at the back).
-struct ShardRuntime {
-  Replica* rep = nullptr;
-  std::vector<RemoteMsg> inbox;
-  std::size_t pos = 0;
-};
-
-void sort_inbox_tail(ShardRuntime& rt) {
-  if (rt.pos == rt.inbox.size()) {
-    rt.inbox.clear();
-    rt.pos = 0;
-  }
-  std::sort(rt.inbox.begin() + static_cast<std::ptrdiff_t>(rt.pos),
-            rt.inbox.end(), remote_before);
-}
-
-// One conservative window: interleave staged messages (in merge order) with
-// local events, everything strictly below `bound`. A message at timestamp t
-// applies after every local event below t — its serial counterpart is the
-// departure event of a transmission that completed at exactly t.
-std::uint64_t run_shard_window(ShardRuntime& rt, SimTime bound) {
-  Replica& rep = *rt.rep;
-  sort_inbox_tail(rt);
-  const std::uint64_t before = rep.sim.executed_events();
-  std::uint64_t applied = 0;
-  while (rt.pos < rt.inbox.size() && rt.inbox[rt.pos].ts < bound) {
-    RemoteMsg& m = rt.inbox[rt.pos];
-    rep.sim.run_before(m.ts);
-    rep.sim.advance_to(m.ts);
-    rep.net.apply_remote(std::move(m.p));
-    ++rt.pos;
-    ++applied;
-  }
-  rep.sim.run_before(bound);
-  return applied + (rep.sim.executed_events() - before);
-}
-
-// Final phase: apply messages up to and including the horizon (discarding
-// later ones — their serial counterparts never executed) and drain local
-// events through the horizon inclusively, leaving the clock there.
-std::uint64_t finish_shard(ShardRuntime& rt, SimTime horizon) {
-  Replica& rep = *rt.rep;
-  sort_inbox_tail(rt);
-  const std::uint64_t before = rep.sim.executed_events();
-  std::uint64_t applied = 0;
-  while (rt.pos < rt.inbox.size() && rt.inbox[rt.pos].ts <= horizon) {
-    RemoteMsg& m = rt.inbox[rt.pos];
-    rep.sim.run_before(m.ts);
-    rep.sim.advance_to(m.ts);
-    rep.net.apply_remote(std::move(m.p));
-    ++rt.pos;
-    ++applied;
-  }
-  rt.pos = rt.inbox.size();
-  rep.sim.run_until(horizon);
-  return applied + (rep.sim.executed_events() - before);
-}
-
-// Diagnostic dequeue sweep over one shard's owned links, batched through
-// scan::scan_links: how many owned links are backlogged right now (and what
-// each would dequeue). Coordinator-side, between barriers; feeds the
-// per-round PdesTrace spans and never touches simulation state.
-struct BacklogSweep {
-  std::vector<LinkId> links;          // owned links, ascending id
-  std::vector<scan::Heads> heads;     // scratch
-  std::vector<const double*> sdp;     // scratch
-  std::vector<std::int32_t> winners;  // scratch
-};
-
-std::uint32_t sweep_backlog(Replica& rep, BacklogSweep& sweep) {
-  sweep.heads.clear();
-  sweep.sdp.clear();
-  for (const LinkId id : sweep.links) {
-    const auto* cb = dynamic_cast<const ClassBasedScheduler*>(
-        &rep.net.link(id).scheduler());
-    if (cb == nullptr) continue;
-    sweep.heads.push_back(cb->heads());
-    sweep.sdp.push_back(cb->weight_lanes().data());
-  }
-  if (sweep.heads.empty()) return 0;
-  sweep.winners.resize(sweep.heads.size());
-  return scan::scan_links(sweep.heads.data(), sweep.sdp.data(), rep.sim.now(),
-                          static_cast<std::uint32_t>(sweep.heads.size()),
-                          scan::Backend::kAuto, sweep.winners.data());
-}
-
-ScenarioReport run_scenario_sharded(const Scenario& scenario,
-                                    const ScenarioOptions& options,
-                                    double until, double warmup) {
-  PDS_CHECK(options.metrics_out.empty(),
-            "metrics_out is not available with shards > 1");
-  PDS_CHECK(options.max_events == 0 && options.max_wall_seconds == 0.0,
-            "run budgets are not available with shards > 1");
-  const std::uint32_t n = options.shards;
-  const ScenarioPlan plan =
-      plan_scenario(scenario, n, options.partition);
-
-  // channels[src * n + dst]: single-producer (shard src, inside its
-  // window), single-consumer (the coordinator, between barriers).
-  std::vector<ShardChannel<Packet>> channels(
-      static_cast<std::size_t>(n) * n);
-  std::vector<ShardRuntime> runtimes(n);
-  std::vector<std::unique_ptr<Replica>> replicas;
-  const std::uint64_t seed = options.seed.value_or(scenario.run.seed);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    replicas.push_back(std::make_unique<Replica>(seed));
-    PublishFn publish = [&channels, n, s](std::uint32_t dst, SimTime ts,
-                                          Packet&& p) {
-      PDS_REQUIRE(dst < n && dst != s);
-      channels[static_cast<std::size_t>(s) * n + dst].publish(ts,
-                                                              std::move(p));
-    };
-    build_replica(*replicas.back(), scenario, options, warmup, &plan, s,
-                  std::move(publish));
-    runtimes[s].rep = replicas.back().get();
-  }
-
-  std::vector<ShardEngine::Shard> shards(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    ShardRuntime& rt = runtimes[s];
-    shards[s].next_time = [&rt] {
-      SimTime next = rt.rep->sim.next_time();
-      for (std::size_t i = rt.pos; i < rt.inbox.size(); ++i) {
-        next = std::min(next, rt.inbox[i].ts);
-      }
-      return next;
-    };
-    shards[s].run_window = [&rt](SimTime bound) {
-      return run_shard_window(rt, bound);
-    };
-    shards[s].finish = [&rt](SimTime horizon) {
-      return finish_shard(rt, horizon);
-    };
-  }
-
-  ShardEngine engine(std::move(shards), plan.lookahead, until);
-  std::vector<ShardMessage<Packet>> scratch;
-  engine.set_splice([&channels, &runtimes, n, &scratch] {
-    ShardEngine::SpliceResult result;
-    for (std::uint32_t src = 0; src < n; ++src) {
-      for (std::uint32_t dst = 0; dst < n; ++dst) {
-        auto& ch = channels[static_cast<std::size_t>(src) * n + dst];
-        if (ch.pending() == 0) continue;
-        scratch.clear();
-        const std::size_t moved = ch.splice_into(scratch);
-        result.moved += moved;
-        result.max_batch =
-            std::max<std::uint64_t>(result.max_batch, moved);
-        auto& inbox = runtimes[dst].inbox;
-        for (auto& m : scratch) {
-          inbox.push_back(RemoteMsg{m.ts, src, m.seq, std::move(m.payload)});
-        }
-      }
-    }
-    return result;
-  });
-  if (options.shard_executor) engine.set_executor(options.shard_executor);
-
-  std::vector<BacklogSweep> sweeps(n);
-  std::vector<std::uint32_t> backlogged(n, 0);
-  if (options.pdes_trace != nullptr) {
-    PdesTrace* trace = options.pdes_trace;
-    PDS_CHECK(trace->shards() == n, "PdesTrace shard count mismatch");
-    for (LinkId id = 0; id < plan.part.link_owner.size(); ++id) {
-      sweeps[plan.part.link_owner[id]].links.push_back(id);
-    }
-    engine.set_round_hook([trace, &runtimes, &sweeps, &backlogged, n](
-                              std::uint64_t round,
-                              const std::vector<SimTime>& bounds,
-                              const std::vector<std::uint64_t>& processed) {
-      for (std::uint32_t s = 0; s < n; ++s) {
-        backlogged[s] = sweep_backlog(*runtimes[s].rep, sweeps[s]);
-      }
-      trace->record_round(round, bounds, processed, backlogged);
-    });
-  }
-
-  const PdesStats stats = engine.run();
-  for (auto& rep : replicas) stop_sources(*rep);
-  if (options.pdes_stats != nullptr) *options.pdes_stats = stats;
-
-  ScenarioReport report;
-  std::vector<Replica*> ptrs;
-  ptrs.reserve(replicas.size());
-  for (auto& r : replicas) ptrs.push_back(r.get());
-  fill_report(report, scenario, &plan, ptrs.data());
-  return report;
 }
 
 }  // namespace
@@ -1154,16 +768,11 @@ ScenarioReport run_scenario(const Scenario& scenario,
                             const ScenarioOptions& options) {
   PDS_CHECK(options.horizon_scale > 0.0,
             "horizon scale must be positive");
-  PDS_CHECK(options.shards >= 1, "shards must be at least 1");
   const double until = scenario.run.until * options.horizon_scale;
   const double warmup = scenario.run.warmup * options.horizon_scale;
 
-  if (options.shards > 1) {
-    return run_scenario_sharded(scenario, options, until, warmup);
-  }
-
-  Replica rep(options.seed.value_or(scenario.run.seed));
-  build_replica(rep, scenario, options, warmup, nullptr, 0, {});
+  Simulation run(options.seed.value_or(scenario.run.seed));
+  build_simulation(run, scenario, options, warmup);
 
   MetricsRegistry registry;
   std::unique_ptr<MetricsSnapshotWriter> metrics;
@@ -1184,12 +793,12 @@ ScenarioReport run_scenario(const Scenario& scenario,
       Gauge* slo;
     };
     std::vector<LinkGauges> links;
-    for (const auto& [name, id] : rep.link_ids) {
+    for (const auto& [name, id] : run.link_ids) {
       links.push_back({id, &registry.gauge("link." + name + ".util"),
                        &registry.gauge("link." + name + ".sent")});
     }
     std::vector<FlowGauges> flows;
-    for (std::size_t i = 0; i < rep.workloads.size(); ++i) {
+    for (std::size_t i = 0; i < run.workloads.size(); ++i) {
       const std::string p = "flows.f" + std::to_string(i) + ".";
       flows.push_back({&registry.gauge(p + "completed"),
                        &registry.gauge(p + "failed"),
@@ -1198,39 +807,38 @@ ScenarioReport run_scenario(const Scenario& scenario,
                        &registry.gauge(p + "slo")});
     }
     metrics = std::make_unique<MetricsSnapshotWriter>(
-        rep.sim, registry, options.metrics_out, options.metrics_window,
-        [&rep, links = std::move(links), flows = std::move(flows)](SimTime) {
+        run.sim, registry, options.metrics_out, options.metrics_window,
+        [&run, links = std::move(links), flows = std::move(flows)](SimTime) {
           for (const LinkGauges& l : links) {
-            l.util->set(rep.net.utilization(l.id));
+            l.util->set(run.net.utilization(l.id));
             l.sent->set(
-                static_cast<double>(rep.net.link(l.id).packets_sent()));
+                static_cast<double>(run.net.link(l.id).packets_sent()));
           }
           for (std::size_t i = 0; i < flows.size(); ++i) {
-            const auto& st = rep.workloads[i]->stats();
+            const auto& st = run.workloads[i]->stats();
             flows[i].completed->set(static_cast<double>(st.completed));
             flows[i].failed->set(static_cast<double>(st.failed));
             flows[i].retries->set(static_cast<double>(st.retries));
             flows[i].waiting->set(
-                static_cast<double>(rep.workloads[i]->waiting_users()));
+                static_cast<double>(run.workloads[i]->waiting_users()));
             flows[i].slo->set(st.slo_attainment());
           }
         });
   }
 
   if (options.max_events > 0 || options.max_wall_seconds > 0.0) {
-    rep.sim.set_budget(options.max_events, options.max_wall_seconds);
+    run.sim.set_budget(options.max_events, options.max_wall_seconds);
   }
 
-  rep.sim.run_until(until);
-  stop_sources(rep);
+  run.sim.run_until(until);
+  stop_sources(run);
 
   ScenarioReport report;
   if (metrics) {
     metrics->flush();
     report.metrics_snapshots = metrics->snapshots_written();
   }
-  Replica* replicas[] = {&rep};
-  fill_report(report, scenario, nullptr, replicas);
+  fill_report(report, scenario, run);
   return report;
 }
 

@@ -650,28 +650,4 @@ ClassId bpr_select(const Heads& heads, const double* rates, double* vs,
   return bpr_scalar(heads, rates, vs, elapsed, last_departure, any_departure);
 }
 
-std::uint32_t scan_links(const Heads* heads, const double* const* sdp,
-                         double now, std::uint32_t count, Backend backend,
-                         std::int32_t* winners) {
-  std::uint32_t backlogged = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const Heads& h = heads[i];
-    bool any = false;
-    for (std::uint32_t c = 0; c < h.n; ++c) {
-      if (h.mask[c] != 0) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) {
-      winners[i] = -1;
-      continue;
-    }
-    ++backlogged;
-    winners[i] = static_cast<std::int32_t>(wtp_select(h, sdp[i], now,
-                                                      backend));
-  }
-  return backlogged;
-}
-
 }  // namespace pds::scan

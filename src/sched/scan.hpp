@@ -95,17 +95,4 @@ ClassId bpr_select(const Heads& heads, const double* rates, double* vs,
                    double elapsed, double last_departure, bool any_departure,
                    Backend backend);
 
-// Batched multi-link WTP sweep: one call scanning `count` links' head
-// snapshots at once (the sharded runner's per-round dequeue sweep over a
-// shard's owned links). For link i, `heads[i]` is its SoA view and `sdp[i]`
-// its padded weight lanes (ClassBasedScheduler::weight_lanes). Writes
-// `winners[i]` = the WTP winner under the standard tie-break, or -1 when
-// the link has no backlogged class (the only selector here that tolerates
-// an all-idle snapshot), and returns the number of backlogged links. The
-// determinism contract above applies per link: every backend produces the
-// same winners array, bit for bit.
-std::uint32_t scan_links(const Heads* heads, const double* const* sdp,
-                         double now, std::uint32_t count, Backend backend,
-                         std::int32_t* winners);
-
 }  // namespace pds::scan

@@ -201,14 +201,6 @@ class ClassBasedScheduler : public Scheduler {
   void set_scan_backend(scan::Backend backend) noexcept { backend_ = backend; }
   scan::Backend scan_backend() const noexcept { return backend_; }
 
-  // Read-only snapshots for external batched scans (scan::scan_links — the
-  // sharded runner's dequeue sweep): the head-of-line SoA view and the
-  // weights padded to its lane count.
-  scan::Heads heads() const noexcept { return heads_view(); }
-  const std::vector<double>& weight_lanes() const noexcept {
-    return sdp_lanes();
-  }
-
  protected:
   explicit ClassBasedScheduler(const SchedulerConfig& config,
                                bool needs_capacity = false);

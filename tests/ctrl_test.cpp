@@ -85,6 +85,39 @@ TEST(ControlPlan, ErrorsCarryTheLineNumber) {
             std::string::npos);
 }
 
+// Numbers must be finite: `at=nan` used to pass the `at < 0` check and
+// reach the injector; out-of-range values escaped as a bare std::stod error.
+TEST(ControlPlan, NonFiniteNumbersNameTheirLine) {
+  struct Case {
+    const char* text;
+    std::size_t line;
+  };
+  const std::vector<Case> cases = {
+      {"retune l at=nan w=1,2\n", 1},
+      {"# comment\nretune l at=1e999 w=1,2\n", 2},
+      {"retune l at=1 w=1,inf\n", 1},
+      {"retune l at=1 g=nan\n", 1},
+      {"seed 1e999\n", 1},
+      {"seed 3\nshed l at=1 for=nan watermark=3 classes=1\n", 2},
+      {"shed l at=1 for=5 watermark=inf\n", 1},
+      {"class l at=1 drain=nan\n", 1},
+  };
+  for (const Case& c : cases) {
+    const std::string prefix =
+        "control plan line " + std::to_string(c.line) + ": ";
+    try {
+      parse_control_plan(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+          << e.what() << " for: " << c.text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not std::invalid_argument: " << e.what()
+                    << " for: " << c.text;
+    }
+  }
+}
+
 TEST(ControlPlan, RejectsMalformedDirectives) {
   EXPECT_NE(parse_error("retune l at=soon w=1,2\n").find("malformed number"),
             std::string::npos);

@@ -76,6 +76,39 @@ TEST(FaultPlan, ErrorsCarryTheLineNumber) {
             std::string::npos);
 }
 
+// Numbers must be finite: out-of-range and non-finite values are
+// line-numbered parse errors, not a bare std::out_of_range or a NaN that
+// slips past every range check.
+TEST(FaultPlan, NonFiniteNumbersNameTheirLine) {
+  struct Case {
+    const char* text;
+    std::size_t line;
+  };
+  const std::vector<Case> cases = {
+      {"seed 1e999\n", 1},
+      {"seed nan\n", 1},
+      {"# comment\ndown l at=nan for=1\n", 2},
+      {"down l at=1 for=inf\n", 1},
+      {"down l at=1e999 for=1\n", 1},
+      {"seed 2\ndegrade l at=1 for=1 factor=nan\n", 2},
+      {"loss l at=1 for=1 rate=nan\n", 1},
+  };
+  for (const Case& c : cases) {
+    const std::string prefix =
+        "fault plan line " + std::to_string(c.line) + ": ";
+    try {
+      parse_fault_plan(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+          << e.what() << " for: " << c.text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not std::invalid_argument: " << e.what()
+                    << " for: " << c.text;
+    }
+  }
+}
+
 TEST(FaultPlan, RejectsMalformedDirectives) {
   EXPECT_NE(parse_error("down l at=soon for=1\n").find("malformed number"),
             std::string::npos);

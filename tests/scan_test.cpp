@@ -327,70 +327,5 @@ TEST(ScanDifferential, BurstDequeueOrderMatchesAcrossBackends) {
   }
 }
 
-// ------------------------------------------------- batched multi-link scan
-
-TEST(ScanLinks, IdleLinksReportMinusOneAndBusyOnesTheWtpWinner) {
-  Rng rng(0xfeed);
-  const double now = 500.0;
-  std::vector<FuzzState> states;
-  states.push_back(fuzz_state(rng, now, 4));
-  states.push_back(fuzz_state(rng, now, 4));
-  // A fully idle link in the middle of the sweep.
-  FuzzState idle = fuzz_state(rng, now, 4);
-  for (auto& m : idle.mask) m = 0;
-  states.insert(states.begin() + 1, idle);
-
-  std::vector<scan::Heads> heads;
-  std::vector<const double*> sdp;
-  for (const auto& st : states) {
-    heads.push_back(st.heads());
-    sdp.push_back(st.sdp.data());
-  }
-  std::vector<std::int32_t> winners(states.size(), -2);
-  const std::uint32_t busy =
-      scan::scan_links(heads.data(), sdp.data(), now,
-                       static_cast<std::uint32_t>(states.size()),
-                       Backend::kScalar, winners.data());
-  EXPECT_EQ(busy, 2u);
-  EXPECT_EQ(winners[1], -1);
-  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-    ASSERT_GE(winners[i], 0);
-    EXPECT_EQ(static_cast<ClassId>(winners[i]),
-              scan::wtp_select(heads[i], sdp[i], now, Backend::kScalar));
-  }
-}
-
-TEST(ScanLinks, FuzzedSweepAgreesAcrossBackends) {
-  Rng rng(0xabcd);
-  for (int iter = 0; iter < 1000; ++iter) {
-    const double now = 100.0 + static_cast<double>(rng.uniform_index(900));
-    const auto count = static_cast<std::uint32_t>(1 + rng.uniform_index(12));
-    std::vector<FuzzState> states;
-    states.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const auto n = static_cast<std::uint32_t>(1 + rng.uniform_index(9));
-      states.push_back(fuzz_state(rng, now, n));
-      if (rng.uniform01() < 0.25) {  // some links in the sweep sit idle
-        for (auto& m : states.back().mask) m = 0;
-      }
-    }
-    std::vector<scan::Heads> heads;
-    std::vector<const double*> sdp;
-    for (const auto& st : states) {
-      heads.push_back(st.heads());
-      sdp.push_back(st.sdp.data());
-    }
-    std::vector<std::int32_t> scalar(count), simd(count);
-    const std::uint32_t busy_scalar =
-        scan::scan_links(heads.data(), sdp.data(), now, count,
-                         Backend::kScalar, scalar.data());
-    const std::uint32_t busy_simd =
-        scan::scan_links(heads.data(), sdp.data(), now, count, Backend::kSimd,
-                         simd.data());
-    EXPECT_EQ(busy_scalar, busy_simd) << "iter " << iter;
-    EXPECT_EQ(scalar, simd) << "iter " << iter;
-  }
-}
-
 }  // namespace
 }  // namespace pds

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "exp/thread_pool.hpp"
 #include "net/scenario.hpp"
 #include "obs/report.hpp"
@@ -154,6 +158,59 @@ TEST(ScenarioErrors, MalformedRunLinesNameTheirLine) {
   EXPECT_NE(parse_error(std::string(prefix) + "run until=10\nrun until=20\n")
                 .find("scenario line 5: duplicate run directive"),
             std::string::npos);
+}
+
+// Numbers must be finite and integer options must be integers in range.
+// Every bad value below is a line-numbered std::invalid_argument from the
+// parser: never a bare std::out_of_range, a contract check that names a
+// source file, a silently truncated or wrapped value, or a run on nonsense.
+TEST(ScenarioErrors, NonFiniteNumbersAndBadIntegersNameTheirLine) {
+  const std::string head =
+      "link a capacity=39.375 sched=wtp sdp=1,2,4,8\n"
+      "route r a\n";
+  const std::string src = "source renewal r class=0 gap=30 size=441\n";
+  const std::string flows = "flows r class=0 users=2 size=441 think=10 "
+                            "reverse=r rto=50 ";
+  struct Case {
+    std::string text;
+    std::size_t line;
+  };
+  const std::vector<Case> cases = {
+      {"link a capacity=1e999 sched=wtp sdp=1,2\n", 1},
+      {"link a capacity=1e-400 sched=wtp sdp=1,2\n", 1},
+      {"# comment\nlink a capacity=nan sched=wtp sdp=1,2\n", 2},
+      {"link a capacity=inf sched=wtp sdp=1,2\n", 1},
+      {"topology ring n=3 capacity=-inf sched=wtp sdp=1,2\n", 1},
+      {"link a capacity=10 sched=wtp sdp=1,nan\n", 1},
+      {head + "source renewal r class=0 gap=30 size=-5\n", 3},
+      {head + "source renewal r class=0 gap=30 size=0.5\n", 3},
+      {head + "source renewal r class=0 gap=30 size=5e9\n", 3},
+      {head + "source renewal r class=1.5 gap=30 size=441\n", 3},
+      {head + "source mix r fractions=1,inf gap=30 size=441\n", 3},
+      {head + "source cbr r class=-1 count=5 size=441 interval=5\n", 3},
+      {head + "source cbr r class=0 count=0 size=441 interval=5\n", 3},
+      {head + "source cbr r class=0 count=2.5 size=441 interval=5\n", 3},
+      {head + flows + "request=0.5\n", 3},
+      {head + flows + "response=-1\n", 3},
+      {head + flows + "retries=2.5\n", 3},
+      {head + flows + "retries=-1\n", 3},
+      {head + src + "run until=nan\n", 4},
+      {head + src + "run until=10 warmup=20\n", 4},
+  };
+  for (const Case& c : cases) {
+    const std::string prefix =
+        "scenario line " + std::to_string(c.line) + ": ";
+    try {
+      parse_scenario(c.text);
+      ADD_FAILURE() << "accepted:\n" << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+          << e.what() << "\nfor:\n" << c.text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not std::invalid_argument: " << e.what()
+                    << "\nfor:\n" << c.text;
+    }
+  }
 }
 
 TEST(ScenarioErrors, DuplicateIdsNameTheOffendingLine) {
