@@ -9,13 +9,15 @@
 //     dispatch, same bookkeeping — minus the SimMonitor branch, i.e. the
 //     binary you would get from -DPDS_OBS=OFF. Against it we time the real
 //     Simulator with no monitor (the disabled branch) and with a
-//     SimProfiler attached.
+//     SimProfiler attached (exact event counts and queue depth, the clock
+//     read for a 1-in-~16 sample of each label's events).
 //  2. Link transmission path (informational). A WTP link with no probe vs a
-//     PacketTracer at sample rate 0 (every packet pays the probe virtual
-//     calls, backlog context and the hash-based sampling decision, but
-//     records nothing) and at rate 1 (every event recorded). The no-probe
-//     configuration is the disabled path; its only cost over compiled-out
-//     is one null-pointer branch per lifecycle event.
+//     PacketTracer at sample rate 0 (every lifecycle event pays the inline
+//     admission hash, then skips the probe), at rate 0.01 (the rate
+//     single_link_monitored and simulate_cli's default trace use) and at
+//     rate 1 (every event recorded). The no-probe configuration is the
+//     disabled path; its only cost over compiled-out is one null-pointer
+//     branch per lifecycle event.
 //  3. Departure-side conformance monitoring (guarded). The same link run
 //     with no ConformanceMonitor, with one constructed but disabled
 //     (tau = 0, record() early-returns), and with live windowed monitoring.
@@ -310,6 +312,10 @@ int main(int argc, char** argv) {
       pds::PacketTracer tracer(0.0, 1);
       run_link_path(packets, &tracer);
     });
+    const double t_trace_pct = best_seconds(reps, [&]() {
+      pds::PacketTracer tracer(0.01, 1);
+      run_link_path(packets, &tracer);
+    });
     const double t_trace1 = best_seconds(reps, [&]() {
       pds::PacketTracer tracer(1.0, 1);
       run_link_path(packets, &tracer);
@@ -358,10 +364,12 @@ int main(int argc, char** argv) {
     };
     row("event loop", "raw queue (no hooks)", t_raw, ev, t_raw);
     row("event loop", "simulator, no monitor", t_nomon, ev, t_raw);
-    row("event loop", "simulator + SimProfiler", t_prof, ev, t_raw);
+    row("event loop", "simulator + SimProfiler (sampled)", t_prof, ev,
+        t_raw);
     row("event loop", "simulator + KernelSpanMonitor", t_span, ev, t_raw);
     row("link", "no probe", t_noprobe, pk, t_noprobe);
     row("link", "PacketTracer rate 0", t_trace0, pk, t_noprobe);
+    row("link", "PacketTracer rate 0.01", t_trace_pct, pk, t_noprobe);
     row("link", "PacketTracer rate 1", t_trace1, pk, t_noprobe);
     row("link", "conformance disabled (tau 0)", t_conf_off, pk, t_noprobe);
     row("link", "conformance tau 500", t_conf_on, pk, t_noprobe);

@@ -46,27 +46,39 @@ rm -f "${SWEEP_A}" "${SWEEP_B}"
 
 echo "== bad input: line-numbered errors, never a crash =="
 # Each repro below once escaped the grammars: 1e999 as a bare "stod" error,
-# nan into a contract check that names a source file, inf and size=-5 into
-# a run on nonsense values. Every one must exit non-zero with a "line N:"
-# message and neither of those failure signatures on stderr.
+# nan, capacity=0, gap=0, a zero or decreasing SDP list and a class beyond
+# the link's SDP count into a contract check that names a source file, inf,
+# size=-5 and seed=-1 into a run on nonsense values. Every one must exit
+# non-zero with a "line N:" message and none of those failure signatures
+# (stod, check failed, a source path) on stderr.
 BAD_DIR="$(mktemp -d)"
 RING=examples/scenarios/ring.pds
-for bad in 1e999 nan inf; do
+for bad in 1e999 nan inf 0; do
   sed "s/capacity=39.375/capacity=${bad}/" "${RING}" \
     > "${BAD_DIR}/capacity_${bad}.pds"
 done
 for bad in -5 0.5; do
   sed "0,/size=441/s//size=${bad}/" "${RING}" > "${BAD_DIR}/size_${bad}.pds"
 done
+sed "0,/gap=20/s//gap=0/" "${RING}" > "${BAD_DIR}/gap_0.pds"
+sed "s/sdp=1,2,4,8/sdp=0,2,4,8/" "${RING}" > "${BAD_DIR}/sdp_zero.pds"
+sed "s/sdp=1,2,4,8/sdp=8,4,2,1/" "${RING}" > "${BAD_DIR}/sdp_decreasing.pds"
+sed "s/class=3/class=4/" "${RING}" > "${BAD_DIR}/flows_class_4.pds"
+sed "0,/fractions=40,30,20,10/s//fractions=40,30,20,10,5/" "${RING}" \
+  > "${BAD_DIR}/mix_5_classes.pds"
+sed "s/seed=7/seed=-1/" "${RING}" > "${BAD_DIR}/seed_-1.pds"
 printf 'seed 1e999\n' > "${BAD_DIR}/fault_plan.txt"
+printf 'seed 1e300\n' > "${BAD_DIR}/fault_seed.txt"
 printf 'retune n0>n1 at=nan w=1,3,9,27\n' > "${BAD_DIR}/control_plan.txt"
+printf 'seed 1e300\n' > "${BAD_DIR}/control_seed.txt"
 expect_line_error() {
   local err="${BAD_DIR}/stderr"
   echo "   $*"
   if ./build/examples/netsim_cli --quick "$@" >/dev/null 2>"${err}"; then
     echo "accepted bad input: $*"; exit 1
   fi
-  if ! grep -qE 'line [0-9]+:' "${err}" || grep -qE 'stod|check failed' "${err}"; then
+  if ! grep -qE 'line [0-9]+:' "${err}" ||
+     grep -qE 'stod|check failed|\.(cpp|hpp):[0-9]' "${err}"; then
     echo "bad input not reported as a line-numbered error: $*"
     cat "${err}"; exit 1
   fi
@@ -74,8 +86,12 @@ expect_line_error() {
 for pds in "${BAD_DIR}"/*.pds; do
   expect_line_error --file="${pds}"
 done
-expect_line_error --file="${RING}" --fault-plan="${BAD_DIR}/fault_plan.txt"
-expect_line_error --file="${RING}" --control-plan="${BAD_DIR}/control_plan.txt"
+for plan in fault_plan fault_seed; do
+  expect_line_error --file="${RING}" --fault-plan="${BAD_DIR}/${plan}.txt"
+done
+for plan in control_plan control_seed; do
+  expect_line_error --file="${RING}" --control-plan="${BAD_DIR}/${plan}.txt"
+done
 rm -rf "${BAD_DIR}"
 
 echo "== control plane: reconfigured-run determinism + controller smoke =="

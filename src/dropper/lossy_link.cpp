@@ -29,7 +29,7 @@ LossyLink::LossyLink(Simulator& sim, Scheduler& sched, double capacity,
 
 void LossyLink::notify_drop(const Packet& p) {
   const Scheduler& sched = link_.scheduler();
-  PDS_OBS_NOTIFY(probe_,
+  PDS_OBS_NOTIFY(probe_, p.id,
                  on_drop(p,
                          ProbeContext{hop_, sched.backlog_packets(p.cls),
                                       sched.backlog_bytes(p.cls)},

@@ -115,7 +115,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
       if (tokens.size() != 2) fail(line_no, "seed takes exactly one value");
       saw_seed = true;
       const double v = to_number(tokens[1], line_no);
-      if (v < 0.0) fail(line_no, "seed must be non-negative");
+      if (!is_seed(v)) fail(line_no, kSeedRangeError);
       plan.seed = static_cast<std::uint64_t>(v);
       continue;
     }

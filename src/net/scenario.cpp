@@ -134,7 +134,7 @@ class Options {
 struct ParseGraph {
   std::map<std::string, NodeId> node_index;
   std::vector<GraphEdge> edges;  // link = index into scenario.links
-  std::set<std::string> link_names;
+  std::map<std::string, std::uint32_t> link_index;  // into scenario.links
   std::set<std::string> route_names;
 };
 
@@ -183,6 +183,30 @@ std::uint64_t parse_buffer(Options& opts, std::size_t line_no) {
   return static_cast<std::uint64_t>(v);
 }
 
+// The options every link directive shares (capacity=, sched=, sdp=,
+// burst=, buffer=), held to the contracts Link and the schedulers enforce.
+void parse_link_options(ScenarioLink& link, Options& opts,
+                        std::size_t line_no) {
+  link.capacity = opts.number("capacity");
+  if (link.capacity <= 0.0) fail(line_no, "capacity must be positive");
+  const std::string sched = opts.require("sched");
+  try {
+    link.kind = scheduler_kind_from_string(sched);
+  } catch (const std::invalid_argument&) {
+    fail(line_no, "unknown scheduler " + sched);
+  }
+  link.sdp = opts.list("sdp");
+  for (std::size_t i = 0; i < link.sdp.size(); ++i) {
+    if (link.sdp[i] <= 0.0) fail(line_no, "sdp values must be positive");
+    if (i > 0 && link.sdp[i] < link.sdp[i - 1]) {
+      fail(line_no,
+           "sdp values must be non-decreasing (higher class = larger s)");
+    }
+  }
+  link.burst = parse_burst(opts, line_no);
+  link.buffer = parse_buffer(opts, line_no);
+}
+
 void add_scenario_node(Scenario& scenario, ParseGraph& graph,
                        const std::string& name, std::size_t line_no) {
   if (graph.node_index.count(name)) {
@@ -194,13 +218,13 @@ void add_scenario_node(Scenario& scenario, ParseGraph& graph,
 
 void add_scenario_link(Scenario& scenario, ParseGraph& graph,
                        ScenarioLink link, std::size_t line_no) {
-  if (!graph.link_names.insert(link.name).second) {
+  const auto index = static_cast<std::uint32_t>(scenario.links.size());
+  if (!graph.link_index.emplace(link.name, index).second) {
     fail(line_no, "duplicate link name " + link.name);
   }
   if (!link.from.empty()) {
     graph.edges.push_back(
-        GraphEdge{static_cast<std::uint32_t>(scenario.links.size()),
-                  graph.node_index.at(link.from),
+        GraphEdge{index, graph.node_index.at(link.from),
                   graph.node_index.at(link.to)});
   }
   scenario.links.push_back(std::move(link));
@@ -252,12 +276,8 @@ void expand_topology(Scenario& scenario, ParseGraph& graph,
     fail(line_no, "unknown topology kind " + kind);
   }
 
-  const double capacity = opts.number("capacity");
-  const SchedulerKind sched =
-      scheduler_kind_from_string(opts.require("sched"));
-  const std::vector<double> sdp = opts.list("sdp");
-  const std::uint32_t burst = parse_burst(opts, line_no);
-  const std::uint64_t buffer = parse_buffer(opts, line_no);
+  ScenarioLink proto;
+  parse_link_options(proto, opts, line_no);
   const std::string prefix = opts.take("prefix").value_or("");
   opts.finish();
 
@@ -266,17 +286,113 @@ void expand_topology(Scenario& scenario, ParseGraph& graph,
   }
   for (const auto& [a, b] : spec.edges) {
     for (int dir = 0; dir < 2; ++dir) {
-      ScenarioLink link;
+      ScenarioLink link = proto;
       link.from = prefix + (dir == 0 ? a : b);
       link.to = prefix + (dir == 0 ? b : a);
       link.name = link.from + ">" + link.to;
-      link.capacity = capacity;
-      link.kind = sched;
-      link.sdp = sdp;
-      link.burst = burst;
-      link.buffer = buffer;
       add_scenario_link(scenario, graph, std::move(link), line_no);
     }
+  }
+}
+
+// gap= with an optional pareto=<alpha> or poisson flag: the renewal and mix
+// sources' interarrival law, held to the gap samplers' contracts.
+void parse_gaps(ScenarioSource& src, Options& opts, std::size_t line_no) {
+  src.gap = opts.number("gap");
+  if (src.gap <= 0.0) fail(line_no, "gap must be positive");
+  if (opts.flag("poisson")) {
+    src.pareto_alpha = 0.0;
+    return;
+  }
+  src.pareto_alpha = opts.number_or("pareto", 1.9);
+  if (src.pareto_alpha <= 1.0) {
+    fail(line_no, "pareto shape must exceed 1 (the gap mean must exist)");
+  }
+}
+
+// Line numbers of the source and flows directives, in file order, for the
+// checks that need the whole graph.
+struct DirectiveLines {
+  std::vector<std::size_t> sources;
+  std::vector<std::size_t> flows;
+};
+
+// Links a path crosses, as indices into scenario.links; a routed path is
+// the one the network will compute over the complete graph.
+std::vector<std::uint32_t> path_links(const Scenario& scenario,
+                                      const ParseGraph& graph,
+                                      const std::string& from,
+                                      const std::string& to) {
+  return shortest_path_links(static_cast<NodeId>(scenario.nodes.size()),
+                             graph.edges, graph.node_index.at(from),
+                             graph.node_index.at(to));
+}
+
+std::vector<std::uint32_t> route_links(const Scenario& scenario,
+                                       const ParseGraph& graph,
+                                       const ScenarioRoute& route) {
+  if (!route.from.empty()) {
+    return path_links(scenario, graph, route.from, route.to);
+  }
+  std::vector<std::uint32_t> path;
+  for (const auto& name : route.links) {
+    path.push_back(graph.link_index.at(name));
+  }
+  return path;
+}
+
+// Packets of `classes` distinct classes (0..classes-1) must find a class
+// queue on every link they cross: each link has one per SDP entry.
+void require_classes(const Scenario& scenario,
+                     const std::vector<std::uint32_t>& path,
+                     std::uint64_t classes, const std::string& what,
+                     std::size_t line_no) {
+  for (const std::uint32_t l : path) {
+    const ScenarioLink& link = scenario.links[l];
+    if (classes > link.sdp.size()) {
+      fail(line_no, what + ": link " + link.name + " has only " +
+                        std::to_string(link.sdp.size()) + " classes");
+    }
+  }
+}
+
+// Runs once the whole file is read: a routed path can change when a later
+// line adds an edge. Paths are resolved only for a class count some link
+// lacks, so a scenario whose links all carry enough classes pays one pass
+// over its links.
+void check_classes(const Scenario& scenario, const ParseGraph& graph,
+                   const DirectiveLines& lines) {
+  std::uint64_t everywhere = std::numeric_limits<std::uint64_t>::max();
+  for (const ScenarioLink& link : scenario.links) {
+    everywhere = std::min<std::uint64_t>(everywhere, link.sdp.size());
+  }
+  for (std::size_t i = 0; i < scenario.sources.size(); ++i) {
+    const ScenarioSource& src = scenario.sources[i];
+    const bool mix = src.kind == ScenarioSourceKind::kMix;
+    const std::uint64_t classes =
+        mix ? src.fractions.size() : std::uint64_t{src.cls} + 1;
+    if (classes <= everywhere) continue;
+    require_classes(
+        scenario,
+        route_links(scenario, graph, *find_route(scenario, src.route)),
+        classes,
+        mix ? std::to_string(classes) + " fractions"
+            : "class=" + std::to_string(src.cls),
+        lines.sources[i]);
+  }
+  for (std::size_t i = 0; i < scenario.flows.size(); ++i) {
+    const ScenarioFlows& f = scenario.flows[i];
+    const std::uint64_t classes = std::uint64_t{f.cls} + 1;
+    if (classes <= everywhere) continue;
+    const ScenarioRoute& route = *find_route(scenario, f.route);
+    const std::string what = "class=" + std::to_string(f.cls);
+    require_classes(scenario, route_links(scenario, graph, route), classes,
+                    what, lines.flows[i]);
+    const auto back =
+        f.reverse.empty()
+            ? path_links(scenario, graph, route.to, route.from)
+            : route_links(scenario, graph, *find_route(scenario, f.reverse));
+    require_classes(scenario, back, classes, what, lines.flows[i]);
   }
 }
 
@@ -285,6 +401,7 @@ void expand_topology(Scenario& scenario, ParseGraph& graph,
 Scenario parse_scenario(const std::string& text) {
   Scenario scenario;
   ParseGraph graph;
+  DirectiveLines lines;
   bool saw_run = false;
   std::istringstream in(text);
   std::string line;
@@ -310,11 +427,7 @@ Scenario parse_scenario(const std::string& text) {
       require_node(graph, link.from, line_no);
       require_node(graph, link.to, line_no);
       if (link.from == link.to) fail(line_no, "edge endpoints must differ");
-      link.capacity = opts.number("capacity");
-      link.kind = scheduler_kind_from_string(opts.require("sched"));
-      link.sdp = opts.list("sdp");
-      link.burst = parse_burst(opts, line_no);
-      link.buffer = parse_buffer(opts, line_no);
+      parse_link_options(link, opts, line_no);
       opts.finish();
       add_scenario_link(scenario, graph, std::move(link), line_no);
     } else if (kind == "topology") {
@@ -324,11 +437,7 @@ Scenario parse_scenario(const std::string& text) {
       ScenarioLink link;
       link.name = tokens[1];
       Options opts(tokens, 2, line_no);
-      link.capacity = opts.number("capacity");
-      link.kind = scheduler_kind_from_string(opts.require("sched"));
-      link.sdp = opts.list("sdp");
-      link.burst = parse_burst(opts, line_no);
-      link.buffer = parse_buffer(opts, line_no);
+      parse_link_options(link, opts, line_no);
       opts.finish();
       add_scenario_link(scenario, graph, std::move(link), line_no);
     } else if (kind == "route") {
@@ -355,7 +464,7 @@ Scenario parse_scenario(const std::string& text) {
         }
       } else {
         for (std::size_t i = 2; i < tokens.size(); ++i) {
-          if (!graph.link_names.count(tokens[i])) {
+          if (!graph.link_index.count(tokens[i])) {
             fail(line_no, "unknown link " + tokens[i]);
           }
           route.links.push_back(tokens[i]);
@@ -382,28 +491,36 @@ Scenario parse_scenario(const std::string& text) {
 
       Options opts(tokens, 3, line_no);
       src.start = opts.number_or("start", 0.0);
+      if (src.start < 0.0) fail(line_no, "start must be non-negative");
       src.size_bytes = integer(opts, "size", line_no, /*positive=*/true);
       switch (src.kind) {
         case ScenarioSourceKind::kRenewal:
           src.cls = integer(opts, "class", line_no);
-          src.gap = opts.number("gap");
-          src.pareto_alpha =
-              opts.flag("poisson") ? 0.0 : opts.number_or("pareto", 1.9);
+          parse_gaps(src, opts, line_no);
           break;
-        case ScenarioSourceKind::kMix:
+        case ScenarioSourceKind::kMix: {
           src.fractions = opts.list("fractions");
-          src.gap = opts.number("gap");
-          src.pareto_alpha =
-              opts.flag("poisson") ? 0.0 : opts.number_or("pareto", 1.9);
+          double total = 0.0;
+          for (const double f : src.fractions) {
+            if (f < 0.0) fail(line_no, "fractions must be non-negative");
+            total += f;
+          }
+          if (total <= 0.0) fail(line_no, "fractions must not all be zero");
+          parse_gaps(src, opts, line_no);
           break;
+        }
         case ScenarioSourceKind::kCbr:
           src.cls = integer(opts, "class", line_no);
           src.count = integer(opts, "count", line_no, /*positive=*/true);
           src.interval = opts.number("interval");
+          if (src.interval <= 0.0) {
+            fail(line_no, "interval must be positive");
+          }
           break;
       }
       opts.finish();
       scenario.sources.push_back(std::move(src));
+      lines.sources.push_back(line_no);
     } else if (kind == "flows") {
       if (tokens.size() < 2) fail(line_no, "flows need a route");
       ScenarioFlows f;
@@ -441,6 +558,16 @@ Scenario parse_scenario(const std::string& text) {
         fail(line_no, "request/response need at least one packet");
       }
       if (f.think_mean < 0.0) fail(line_no, "think must be non-negative");
+      if (f.start < 0.0) fail(line_no, "start must be non-negative");
+      if (f.deadline < 0.0) fail(line_no, "deadline must be non-negative");
+      if (f.rto < 0.0) fail(line_no, "rto must be non-negative");
+      if (f.rto_cap < 0.0) fail(line_no, "rto_cap must be non-negative");
+      if (f.throttle_tokens < 0.0) {
+        fail(line_no, "throttle must be non-negative");
+      }
+      if (f.throttle_tokens > 0.0 && f.throttle_ratio <= 0.0) {
+        fail(line_no, "throttle_ratio must be positive when throttling");
+      }
       if (f.max_retries > 0 && f.rto <= 0.0) {
         fail(line_no, "retries need a positive rto");
       }
@@ -452,24 +579,26 @@ Scenario parse_scenario(const std::string& text) {
           fail(line_no,
                "flows over an explicit route need reverse=<route>");
         }
-        const auto back = shortest_path_links(
-            static_cast<NodeId>(scenario.nodes.size()), graph.edges,
-            graph.node_index.at(route->to), graph.node_index.at(route->from));
-        if (back.empty()) {
+        if (path_links(scenario, graph, route->to, route->from).empty()) {
           fail(line_no, "no path from " + route->to + " to " + route->from +
                             " for the response direction");
         }
       }
       scenario.flows.push_back(std::move(f));
+      lines.flows.push_back(line_no);
     } else if (kind == "run") {
       if (saw_run) fail(line_no, "duplicate run directive");
       saw_run = true;
       Options opts(tokens, 1, line_no);
       scenario.run.until = opts.number("until");
       scenario.run.warmup = opts.number_or("warmup", 0.0);
-      scenario.run.seed =
-          static_cast<std::uint64_t>(opts.number_or("seed", 1.0));
+      const double seed = opts.number_or("seed", 1.0);
+      if (!is_seed(seed)) fail(line_no, kSeedRangeError);
+      scenario.run.seed = static_cast<std::uint64_t>(seed);
       opts.finish();
+      if (scenario.run.warmup < 0.0) {
+        fail(line_no, "warmup must be non-negative");
+      }
       if (scenario.run.until <= scenario.run.warmup) {
         fail(line_no, "run horizon must exceed the warmup");
       }
@@ -484,6 +613,7 @@ Scenario parse_scenario(const std::string& text) {
   if (scenario.sources.empty() && scenario.flows.empty()) {
     throw std::invalid_argument("scenario defines no sources");
   }
+  check_classes(scenario, graph, lines);
   return scenario;
 }
 

@@ -12,27 +12,35 @@
 //    produces exactly H depart events and at most one drop event.
 //  * Probe methods are plain virtuals with empty default bodies, so a
 //    concrete probe only overrides the transitions it cares about.
+//  * A probe that records only some packets says which ones through the
+//    non-virtual admits() filter. Every notification site asks it before
+//    building any argument, so a packet the probe would discard costs one
+//    inline hash instead of a ProbeContext and a virtual call per
+//    transition. The default filter admits every packet.
 #pragma once
 
 #include <cstdint>
 
 #include "dsim/time.hpp"
 #include "packet/packet.hpp"
+#include "util/hash.hpp"
 
 // Compile-out switch: -DPDS_OBS=OFF defines PDS_OBS_ENABLED=0 and every
-// PDS_OBS_NOTIFY site becomes an empty statement.
+// PDS_OBS_NOTIFY site becomes an empty statement. `id` is the id of the
+// packet the transition concerns; `call` is evaluated only when the probe
+// admits it.
 #ifndef PDS_OBS_ENABLED
 #define PDS_OBS_ENABLED 1
 #endif
 
 #if PDS_OBS_ENABLED
-#define PDS_OBS_NOTIFY(probe, call)       \
-  do {                                    \
-    if ((probe) != nullptr) (probe)->call; \
+#define PDS_OBS_NOTIFY(probe, id, call)                            \
+  do {                                                             \
+    if ((probe) != nullptr && (probe)->admits(id)) (probe)->call; \
   } while (0)
 #else
-#define PDS_OBS_NOTIFY(probe, call) \
-  do {                              \
+#define PDS_OBS_NOTIFY(probe, id, call) \
+  do {                                  \
   } while (0)
 #endif
 
@@ -50,6 +58,13 @@ struct ProbeContext {
 class PacketProbe {
  public:
   virtual ~PacketProbe() = default;
+
+  // Admission filter: whether the probe wants the events of `packet_id`.
+  // A pure function of the id, so a packet's whole lifecycle is admitted
+  // or none of it is.
+  bool admits(std::uint64_t packet_id) const noexcept {
+    return admit_all_ || mix64(packet_id ^ admit_key_) < admit_threshold_;
+  }
 
   // Packet reached the component (before it is handed to the scheduler).
   virtual void on_arrive(const Packet& p, const ProbeContext& ctx,
@@ -80,6 +95,20 @@ class PacketProbe {
   virtual void on_drop(const Packet& p, const ProbeContext& ctx, SimTime now) {
     (void)p, (void)ctx, (void)now;
   }
+
+ protected:
+  // Restricts admission to the ids with mix64(id ^ key) < threshold
+  // (threshold 0 admits none).
+  void admit_hashed(std::uint64_t key, std::uint64_t threshold) noexcept {
+    admit_all_ = false;
+    admit_key_ = key;
+    admit_threshold_ = threshold;
+  }
+
+ private:
+  bool admit_all_ = true;
+  std::uint64_t admit_key_ = 0;
+  std::uint64_t admit_threshold_ = 0;
 };
 
 }  // namespace pds

@@ -5,22 +5,10 @@
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/hash.hpp"
 #include "util/number_text.hpp"
 
 namespace pds {
-
-namespace {
-
-// SplitMix64 finalizer: a high-quality 64-bit mix, used as a stateless hash
-// so the sampling decision is a pure function of (id, seed).
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* to_string(TraceEventKind kind) noexcept {
   switch (kind) {
@@ -48,26 +36,26 @@ TraceEventKind trace_event_kind_from_string(const std::string& s) {
 }
 
 PacketTracer::PacketTracer(double sample_rate, std::uint64_t seed)
-    : sample_rate_(sample_rate), seed_key_(mix64(seed)) {
+    : sample_rate_(sample_rate) {
   PDS_CHECK(sample_rate >= 0.0 && sample_rate <= 1.0,
             "sample rate must be in [0,1]");
-  if (sample_rate >= 1.0) {
-    threshold_ = ~0ULL;
-  } else {
-    threshold_ = static_cast<std::uint64_t>(
-        sample_rate * static_cast<double>(~0ULL));
+  // Rate 1 keeps the base filter's admit-all default. Otherwise a packet is
+  // sampled iff mix64(id ^ mix64(seed)) < threshold (threshold 0 at rate 0),
+  // and notification sites skip the rest before building any event argument.
+  if (sample_rate < 1.0) {
+    admit_hashed(mix64(seed),
+                 static_cast<std::uint64_t>(sample_rate *
+                                            static_cast<double>(~0ULL)));
   }
 }
 
 bool PacketTracer::sampled(std::uint64_t packet_id) const noexcept {
-  if (sample_rate_ >= 1.0) return true;
-  if (sample_rate_ <= 0.0) return false;
-  return mix64(packet_id ^ seed_key_) < threshold_;
+  return admits(packet_id);
 }
 
 void PacketTracer::record(const Packet& p, const ProbeContext& ctx,
                           SimTime now, TraceEventKind kind, double wait) {
-  if (!sampled(p.id)) return;
+  if (!admits(p.id)) return;  // direct callers bypass the site filter
   records_.push_back(TraceRecord{now, p.id, kind, p.cls, ctx.hop,
                                  p.size_bytes, wait, ctx.backlog_packets,
                                  ctx.backlog_bytes});

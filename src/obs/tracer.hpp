@@ -6,7 +6,9 @@
 // of (packet id, seed) against the sampling rate, so either a packet's whole
 // lifecycle is in the trace or none of it is, the sampled set is identical
 // across runs with the same seed (determinism the tests rely on), and no RNG
-// stream state is perturbed by turning tracing on.
+// stream state is perturbed by turning tracing on. The same decision is the
+// probe's admits() filter, so the data path skips an unsampled packet before
+// building any event argument for it.
 //
 // Records accumulate in memory (32 B each) and are dumped to CSV with
 // save(); load() reads the same format back for trace_inspect and tests.
@@ -77,8 +79,6 @@ class PacketTracer final : public PacketProbe {
               TraceEventKind kind, double wait);
 
   double sample_rate_;
-  std::uint64_t seed_key_;   // mix64(seed), hoisted out of sampled()
-  std::uint64_t threshold_;  // sample iff hash(id) < threshold_
   std::vector<TraceRecord> records_;
 };
 

@@ -21,10 +21,12 @@ ProbeContext Link::probe_context(ClassId cls) const {
 
 void Link::arrive(Packet p) {
   p.arrival = sim_.now();
-  PDS_OBS_NOTIFY(probe_, on_arrive(p, probe_context(p.cls), sim_.now()));
+  PDS_OBS_NOTIFY(probe_, p.id,
+                 on_arrive(p, probe_context(p.cls), sim_.now()));
   if (down_ && outage_mode_ == OutageMode::kDropArrivals) {
     ++fault_drops_;
-    PDS_OBS_NOTIFY(probe_, on_drop(p, probe_context(p.cls), sim_.now()));
+    PDS_OBS_NOTIFY(probe_, p.id,
+                   on_drop(p, probe_context(p.cls), sim_.now()));
     if (on_fault_drop_) on_fault_drop_(p, sim_.now());
     return;
   }
@@ -37,7 +39,8 @@ bool Link::admit(const Packet& p) {
   if (!class_admit_.empty() && p.cls < class_admit_.size() &&
       class_admit_[p.cls] == 0) {
     ++drain_drops_;
-    PDS_OBS_NOTIFY(probe_, on_drop(p, probe_context(p.cls), sim_.now()));
+    PDS_OBS_NOTIFY(probe_, p.id,
+                   on_drop(p, probe_context(p.cls), sim_.now()));
     if (on_control_drop_) {
       on_control_drop_(p, ControlDropKind::kDrain, sim_.now());
     }
@@ -50,7 +53,8 @@ bool Link::admit(const Packet& p) {
     }
     if (over) {
       ++shed_drops_;
-      PDS_OBS_NOTIFY(probe_, on_drop(p, probe_context(p.cls), sim_.now()));
+      PDS_OBS_NOTIFY(probe_, p.id,
+                     on_drop(p, probe_context(p.cls), sim_.now()));
       if (on_control_drop_) {
         on_control_drop_(p, ControlDropKind::kShed, sim_.now());
       }
@@ -161,7 +165,7 @@ void Link::try_start_service() {
   busy_time_ += tx;
   bytes_sent_ += p.size_bytes;
   ++packets_sent_;
-  PDS_OBS_NOTIFY(probe_,
+  PDS_OBS_NOTIFY(probe_, p.id,
                  on_dequeue(p, probe_context(p.cls), sim_.now(), wait));
 
   // A link transmits one packet at a time, so the in-flight slot is the
@@ -176,8 +180,8 @@ void Link::complete_transmission() {
   // Moved to the stack first: the departure handler may synchronously
   // re-arrive into this link, which restarts service and refills the slot.
   Packet done = std::move(in_flight_);
-  PDS_OBS_NOTIFY(probe_, on_depart(done, probe_context(done.cls),
-                                   sim_.now(), wait));
+  PDS_OBS_NOTIFY(probe_, done.id,
+                 on_depart(done, probe_context(done.cls), sim_.now(), wait));
   on_departure_(std::move(done), wait, sim_.now());
   try_start_service();
 }
@@ -203,7 +207,7 @@ void Link::start_burst() {
     busy_time_ += tx;
     bytes_sent_ += p.size_bytes;
     ++packets_sent_;
-    PDS_OBS_NOTIFY(probe_,
+    PDS_OBS_NOTIFY(probe_, p.id,
                    on_dequeue(p, probe_context(p.cls), sim_.now(), wait));
     total_tx += tx;
   }
@@ -223,8 +227,9 @@ void Link::complete_burst() {
   burst_count_ = 0;
   for (std::uint32_t i = 0; i < k; ++i) {
     Packet done = std::move(burst_buf_[i]);
-    PDS_OBS_NOTIFY(probe_, on_depart(done, probe_context(done.cls),
-                                     sim_.now(), burst_waits_[i]));
+    PDS_OBS_NOTIFY(probe_, done.id,
+                   on_depart(done, probe_context(done.cls), sim_.now(),
+                             burst_waits_[i]));
     on_departure_(std::move(done), burst_waits_[i], sim_.now());
   }
   busy_ = false;

@@ -144,7 +144,7 @@ class Scheduler {
   // moving the argument into the backlog.)
   void notify_enqueued([[maybe_unused]] const Packet& p,
                        [[maybe_unused]] SimTime now) const {
-    PDS_OBS_NOTIFY(probe_,
+    PDS_OBS_NOTIFY(probe_, p.id,
                    on_enqueue(p,
                               ProbeContext{probe_hop_, backlog_packets(p.cls),
                                            backlog_bytes(p.cls)},

@@ -4,7 +4,9 @@
 // A token is a number only if std::stod consumes all of it and the value is
 // finite: "1e999" (out of range), "inf" and "nan" are rejected like "ten".
 // The result carries a reason instead of throwing, so each grammar reports
-// it under its own "<grammar> line N:" prefix.
+// it under its own "<grammar> line N:" prefix. The same holds for is_seed():
+// a seed is an integer in [0, 2^53], the range a double holds exactly, so
+// its conversion to std::uint64_t is always defined.
 #pragma once
 
 #include <cmath>
@@ -32,6 +34,13 @@ inline ParsedNumber parse_finite(const std::string& raw) {
   }
   if (!std::isfinite(v)) return {0.0, "number must be finite"};
   return {v, nullptr};
+}
+
+inline constexpr const char* kSeedRangeError =
+    "seed must be an integer in [0, 2^53]";
+
+inline bool is_seed(double v) {
+  return v >= 0.0 && v <= 0x1p53 && v == std::floor(v);
 }
 
 }  // namespace pds

@@ -87,6 +87,35 @@ TEST(ControlPlan, ErrorsCarryTheLineNumber) {
 
 // Numbers must be finite: `at=nan` used to pass the `at < 0` check and
 // reach the injector; out-of-range values escaped as a bare std::stod error.
+// A seed is an integer in [0, 2^53]; anything else once went through an
+// undefined double -> uint64 conversion.
+TEST(ControlPlan, SeedOutOfRangeNamesItsLine) {
+  struct Case {
+    const char* text;
+    std::size_t line;
+  };
+  const std::vector<Case> cases = {
+      {"seed -1\n", 1},
+      {"# comment\nseed 1e300\n", 2},
+      {"seed 2.5\n", 1},
+      {"seed 9007199254740994\n", 1},
+  };
+  for (const Case& c : cases) {
+    const std::string prefix =
+        "control plan line " + std::to_string(c.line) + ": ";
+    try {
+      parse_control_plan(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+          << e.what() << " for: " << c.text;
+    }
+  }
+  EXPECT_EQ(parse_control_plan("seed 0\n").seed, 0u);
+  EXPECT_EQ(parse_control_plan("seed 9007199254740992\n").seed,
+            9007199254740992u);
+}
+
 TEST(ControlPlan, NonFiniteNumbersNameTheirLine) {
   struct Case {
     const char* text;

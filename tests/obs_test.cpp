@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -11,9 +12,11 @@
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "obs/profiler.hpp"
+#include "obs/span.hpp"
 #include "obs/tracer.hpp"
 #include "sched/factory.hpp"
 #include "sched/link.hpp"
+#include "util/hash.hpp"
 
 namespace pds {
 namespace {
@@ -214,6 +217,38 @@ TEST(PacketTracer, RejectsRateOutsideUnitInterval) {
   EXPECT_THROW(PacketTracer(1.1, 1), std::invalid_argument);
 }
 
+// The notification sites ask admits(), and sampled() is that filter. Pin
+// the decision to its documented definition, mix64(id ^ mix64(seed)) <
+// rate * 2^64, so the traced subset (and every trace CSV) stays the same.
+TEST(PacketTracer, AdmissionFilterIsTheSamplingDecision) {
+  constexpr std::uint64_t kSeed = 42;
+  for (const double rate : {0.0, 0.01, 0.25, 1.0}) {
+    const PacketTracer tracer(rate, kSeed);
+    const auto threshold =
+        static_cast<std::uint64_t>(rate * static_cast<double>(~0ULL));
+    std::uint64_t admitted = 0;
+    for (std::uint64_t id = 0; id < 1000000; ++id) {
+      const bool expected =
+          rate >= 1.0 || mix64(id ^ mix64(kSeed)) < threshold;
+      if (tracer.admits(id) != expected) {
+        FAIL() << "rate " << rate << " disagrees at id " << id;
+      }
+      admitted += expected ? 1 : 0;
+    }
+    EXPECT_EQ(tracer.sampled(12345), tracer.admits(12345));
+    EXPECT_NEAR(static_cast<double>(admitted) / 1e6, rate, 0.002)
+        << "rate " << rate;
+  }
+}
+
+TEST(PacketProbe, DefaultFilterAdmitsEveryPacket) {
+  const PacketProbe probe;
+  for (std::uint64_t id = 0; id < 100000; ++id) {
+    ASSERT_TRUE(probe.admits(id)) << id;
+  }
+  EXPECT_TRUE(probe.admits(~std::uint64_t{0}));
+}
+
 TEST(PacketTracer, WholeLifecycleIsSampledOrNot) {
   PacketTracer tracer(0.5, 7);
   const ProbeContext ctx{2, 5, 5000};
@@ -382,6 +417,89 @@ TEST(ProbeWiring, LossyLinkEmitsExactlyOneDropPerLostPacket) {
   EXPECT_EQ(probe.departs, probe.arrives);
 }
 
+// Forwards every event to an inner probe through the default admit-all
+// filter, as a decorator that times the tracer does.
+class ForwardingProbe final : public PacketProbe {
+ public:
+  explicit ForwardingProbe(PacketProbe& inner) : inner_(inner) {}
+  void on_arrive(const Packet& p, const ProbeContext& ctx,
+                 SimTime now) override {
+    inner_.on_arrive(p, ctx, now);
+  }
+  void on_enqueue(const Packet& p, const ProbeContext& ctx,
+                  SimTime now) override {
+    inner_.on_enqueue(p, ctx, now);
+  }
+  void on_dequeue(const Packet& p, const ProbeContext& ctx, SimTime now,
+                  SimTime wait) override {
+    inner_.on_dequeue(p, ctx, now, wait);
+  }
+  void on_depart(const Packet& p, const ProbeContext& ctx, SimTime now,
+                 SimTime wait) override {
+    inner_.on_depart(p, ctx, now, wait);
+  }
+  void on_drop(const Packet& p, const ProbeContext& ctx,
+               SimTime now) override {
+    inner_.on_drop(p, ctx, now);
+  }
+
+ private:
+  PacketProbe& inner_;
+};
+
+// Overflowing drop-tail buffer in front of a WTP link: every notification
+// site (arrive, enqueue, single or burst dequeue/depart, drop) fires.
+void run_probed_lossy_link(PacketProbe& probe, std::uint32_t burst) {
+  Simulator sim;
+  SchedulerConfig config;
+  config.sdp = {1.0, 2.0, 4.0};
+  config.link_capacity = 10.0;
+  const auto sched = make_scheduler(SchedulerKind::kWtp, config);
+  LossyLink lossy(sim, *sched, config.link_capacity, /*buffer_packets=*/8,
+                  DropPolicy::kDropIncoming, nullptr,
+                  [](Packet&&, SimTime, SimTime) {},
+                  [](const Packet&, SimTime) {});
+  lossy.link_mut().set_burst(burst);
+  lossy.set_probe(&probe, /*hop=*/1);
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    sim.schedule_at(static_cast<SimTime>(i) * 0.08, [&lossy, i] {
+      lossy.arrive(make_packet(i, static_cast<ClassId>(i % 3), 1000));
+    });
+  }
+  sim.run();
+  ASSERT_GT(lossy.drops(0) + lossy.drops(1) + lossy.drops(2), 0u);
+}
+
+TEST(ProbeWiring, FilteredSitesTraceWhatAnUnfilteredProbeTraces) {
+  for (const std::uint32_t burst : {1u, 2u}) {
+    for (const double rate : {0.0, 0.01, 0.25, 1.0}) {
+      PacketTracer direct(rate, 5);
+      run_probed_lossy_link(direct, burst);
+      PacketTracer behind(rate, 5);
+      ForwardingProbe forwarding(behind);
+      run_probed_lossy_link(forwarding, burst);
+
+      ASSERT_EQ(direct.records().size(), behind.records().size())
+          << "burst " << burst << " rate " << rate;
+      for (std::size_t i = 0; i < direct.records().size(); ++i) {
+        const TraceRecord& a = direct.records()[i];
+        const TraceRecord& b = behind.records()[i];
+        EXPECT_EQ(a.time, b.time);
+        EXPECT_EQ(a.packet_id, b.packet_id);
+        EXPECT_EQ(a.kind, b.kind);
+        EXPECT_EQ(a.cls, b.cls);
+        EXPECT_EQ(a.hop, b.hop);
+        EXPECT_EQ(a.wait, b.wait);
+        EXPECT_EQ(a.backlog_packets, b.backlog_packets);
+        EXPECT_EQ(a.backlog_bytes, b.backlog_bytes);
+      }
+      if (rate > 0.0) {
+        EXPECT_FALSE(direct.records().empty());
+      }
+    }
+  }
+}
+
 #endif  // PDS_OBS_ENABLED
 
 // ---------------------------------------------------------------- profiler
@@ -439,6 +557,173 @@ TEST(SimProfiler, MergesEqualLabelsAtDifferentAddresses) {
   EXPECT_TRUE(profiler.categories().empty());
   EXPECT_EQ(profiler.total_events(), 0u);
   EXPECT_EQ(profiler.queue_depth().count(), 0u);
+}
+
+// Reference monitor: counts every event per label text and the depth of
+// every event, the way a profiler that times everything would.
+class FullCountMonitor final : public SimMonitor {
+ public:
+  void on_event_begin(SimTime, const char* label,
+                      std::size_t pending) noexcept override {
+    ++events[label != nullptr ? label : "(unlabeled)"];
+    depth.add(static_cast<double>(pending));
+  }
+  void on_event_end(SimTime, const char*) noexcept override {}
+
+  std::map<std::string, std::uint64_t> events;
+  RunningStats depth;
+};
+
+// Self-rearming chains under several labels with different periods, so
+// labels interleave irregularly and the pending count varies.
+void run_labeled_chains(SimMonitor& monitor) {
+  static const char* const kLabels[] = {"alpha", "beta", "gamma", "delta"};
+  Simulator sim;
+  sim.set_monitor(&monitor);
+  struct Chain {
+    Simulator* sim;
+    const char* label;
+    double period;
+    int remaining;
+    void arm() {
+      sim->schedule_in(
+          period,
+          [this] {
+            if (--remaining > 0) arm();
+          },
+          label);
+    }
+  };
+  std::vector<Chain> chains;
+  for (int i = 0; i < 7; ++i) {
+    chains.push_back(Chain{&sim, kLabels[i % 4], 1.0 + 0.37 * i, 40 + 90 * i});
+  }
+  for (Chain& c : chains) c.arm();
+  sim.schedule_at(3.0, [] {}, "once");
+  sim.run();
+  sim.set_monitor(nullptr);
+}
+
+TEST(SimProfiler, SampledCountsAndDepthAreExact) {
+  SimProfiler profiler;
+  FullCountMonitor reference;
+  SimMonitorMux mux;
+  mux.add(&profiler);
+  mux.add(&reference);
+  run_labeled_chains(mux);
+
+  std::map<std::string, std::uint64_t> counted;
+  std::uint64_t total = 0;
+  for (const auto& cat : profiler.categories()) {
+    counted[cat.label] = cat.events;
+    total += cat.events;
+  }
+  EXPECT_EQ(counted, reference.events);
+  EXPECT_EQ(profiler.total_events(), total);
+  EXPECT_EQ(profiler.queue_depth().count(), reference.depth.count());
+  EXPECT_EQ(profiler.queue_depth().mean(), reference.depth.mean());
+  EXPECT_EQ(profiler.queue_depth().variance(), reference.depth.variance());
+  EXPECT_EQ(profiler.queue_depth().max(), reference.depth.max());
+}
+
+TEST(SimProfiler, EveryLabelWithEventsHasATimedSample) {
+  SimProfiler profiler;
+  run_labeled_chains(profiler);
+  double sum = 0.0;
+  for (const auto& cat : profiler.categories()) {
+    EXPECT_GE(cat.timed_events, 1u) << cat.label;
+    EXPECT_LE(cat.timed_events, cat.events) << cat.label;
+    EXPECT_GE(cat.wall_seconds, 0.0) << cat.label;
+    sum += cat.wall_seconds;
+  }
+  EXPECT_DOUBLE_EQ(profiler.total_wall_seconds(), sum);
+}
+
+std::uint64_t timed_events_of(const SimProfiler& profiler,
+                              const std::string& label) {
+  for (const auto& cat : profiler.categories()) {
+    if (cat.label == label) return cat.timed_events;
+  }
+  return 0;
+}
+
+// Drives the monitor callbacks directly and records, per label, the
+// indices (within that label's own events) of the timed ones: an event was
+// timed iff it raised its category's timed_events count.
+std::map<std::string, std::vector<std::uint64_t>> timed_indices(
+    SimProfiler& profiler, const std::vector<const char*>& labels) {
+  std::map<std::string, std::vector<std::uint64_t>> timed;
+  std::map<std::string, std::uint64_t> seen;
+  for (const char* label : labels) {
+    const std::uint64_t before = timed_events_of(profiler, label);
+    profiler.on_event_begin(0.0, label, 3);
+    profiler.on_event_end(0.0, label);
+    const std::uint64_t after = timed_events_of(profiler, label);
+    EXPECT_LE(after - before, 1u) << label;
+    if (after != before) timed[label].push_back(seen[label]);
+    ++seen[label];
+  }
+  return timed;
+}
+
+// An irregular interleaving of three labels: "a" periodic with period 3,
+// "b" in bursts, "c" rare.
+std::vector<const char*> interleaved_labels() {
+  std::vector<const char*> labels;
+  for (int i = 0; i < 5000; ++i) {
+    labels.push_back(i % 3 == 0 ? "a" : (i % 7 < 4 ? "b" : "c"));
+    if (i % 97 == 0) labels.push_back("c");
+  }
+  return labels;
+}
+
+TEST(SimProfiler, TimedEventsFollowTheDocumentedStride) {
+  SimProfiler profiler;
+  const auto labels = interleaved_labels();
+  const auto timed = timed_indices(profiler, labels);
+  constexpr std::uint64_t kMinGap =
+      SimProfiler::kStride - SimProfiler::kJitter / 2;
+  constexpr std::uint64_t kMaxGap =
+      SimProfiler::kStride + SimProfiler::kJitter / 2 - 1;
+  std::map<std::string, std::uint64_t> events;
+  for (const char* label : labels) ++events[label];
+  for (const auto& [label, idx] : timed) {
+    ASSERT_FALSE(idx.empty()) << label;
+    EXPECT_EQ(idx.front(), 0u) << label << ": first event not timed";
+    std::set<std::uint64_t> gaps;
+    for (std::size_t i = 1; i < idx.size(); ++i) {
+      const std::uint64_t gap = idx[i] - idx[i - 1];
+      EXPECT_GE(gap, kMinGap) << label;
+      EXPECT_LE(gap, kMaxGap) << label;
+      gaps.insert(gap);
+    }
+    // The jitter really varies the gap, so a period inside one label
+    // cannot lock onto the stride.
+    if (idx.size() > 20) {
+      EXPECT_GT(gaps.size(), 1u) << label;
+    }
+    // No more untimed events after the last timed one than a gap allows.
+    EXPECT_LE(events[label] - 1 - idx.back(), kMaxGap) << label;
+  }
+  std::map<std::string, std::uint64_t> reported;
+  for (const auto& cat : profiler.categories()) {
+    reported[cat.label] = cat.timed_events;
+    EXPECT_EQ(cat.events, events[cat.label]);
+  }
+  for (const auto& [label, idx] : timed) {
+    EXPECT_EQ(reported[label], idx.size()) << label;
+  }
+}
+
+TEST(SimProfiler, IdenticalRunsTimeTheSameEvents) {
+  SimProfiler first;
+  SimProfiler second;
+  const auto labels = interleaved_labels();
+  EXPECT_EQ(timed_indices(first, labels), timed_indices(second, labels));
+  // reset() restarts the sample schedule too.
+  first.reset();
+  SimProfiler fresh;
+  EXPECT_EQ(timed_indices(first, labels), timed_indices(fresh, labels));
 }
 
 }  // namespace

@@ -213,6 +213,113 @@ TEST(ScenarioErrors, NonFiniteNumbersAndBadIntegersNameTheirLine) {
   }
 }
 
+// Finite values outside an option's domain are line-numbered parse errors
+// that mirror the contract check the run would otherwise stop in (link
+// capacity, gap samplers, SDP ordering, class queues per link, RPC timers,
+// seed conversion).
+TEST(ScenarioErrors, OutOfDomainValuesNameTheirLine) {
+  const std::string head =
+      "link a capacity=39.375 sched=wtp sdp=1,2,4,8\n"
+      "route r a\n";
+  const std::string src = "source renewal r class=0 gap=30 size=441\n";
+  const std::string flows = "flows r class=0 users=2 size=441 think=10 "
+                            "reverse=r ";
+  const std::string graph =
+      "topology ring n=4 capacity=39.375 sched=wtp sdp=1,2\n"
+      "route east from=n0 to=n2\n";
+  // Class checks run once the whole file is read.
+  const std::string run = "run until=10\n";
+  struct Case {
+    std::string text;
+    std::size_t line;
+  };
+  const std::vector<Case> cases = {
+      {"link a capacity=0 sched=wtp sdp=1,2\n", 1},
+      {"link a capacity=-3 sched=wtp sdp=1,2\n", 1},
+      {"topology line n=3 capacity=0 sched=wtp sdp=1,2\n", 1},
+      {"node x\nnode y\nedge e from=x to=y capacity=0 sched=wtp sdp=1\n",
+       3},
+      {"link a capacity=10 sched=wtp sdp=0,2,4,8\n", 1},
+      {"link a capacity=10 sched=wtp sdp=-1,2\n", 1},
+      {"link a capacity=10 sched=wtp sdp=1,4,2\n", 1},
+      {"topology ring n=3 capacity=10 sched=hpd sdp=8,4,2,1\n", 1},
+      {"link a capacity=10 sched=warp sdp=1\n", 1},
+      {head + "source renewal r class=0 gap=0 size=441\n", 3},
+      {head + "source renewal r class=0 gap=-2 size=441 poisson\n", 3},
+      {head + "source renewal r class=0 gap=30 size=441 pareto=1\n", 3},
+      {head + "source renewal r class=0 gap=30 size=441 pareto=0\n", 3},
+      {head + "source mix r fractions=1,2 gap=0 size=441\n", 3},
+      {head + "source mix r fractions=1,-2 gap=30 size=441\n", 3},
+      {head + "source mix r fractions=0,0 gap=30 size=441\n", 3},
+      {head + "source cbr r class=0 count=5 size=441 interval=0\n", 3},
+      {head + "source renewal r class=0 gap=30 size=441 start=-1\n", 3},
+      {head + "source renewal r class=4 gap=30 size=441\n" + run, 3},
+      {head + "source cbr r class=9 count=5 size=441 interval=5\n" + run, 3},
+      {head + "source mix r fractions=1,1,1,1,1 gap=30 size=441\n" + run,
+       3},
+      {head + "# comment\n" + flows + "class=4\n" + run, 4},
+      {head + flows + "deadline=-1\n", 3},
+      {head + flows + "rto=-1\n", 3},
+      {head + flows + "rto=5 rto_cap=-1\n", 3},
+      {head + flows + "throttle=-1\n", 3},
+      {head + flows + "throttle=4 throttle_ratio=0\n", 3},
+      {head + flows + "start=-5\n", 3},
+      // The class check follows the whole path, and routed paths are
+      // resolved over the complete graph.
+      {"link a capacity=10 sched=wtp sdp=1,2,4\n"
+       "link b capacity=10 sched=wtp sdp=1,2\n"
+       "route r a b\n"
+       "source renewal r class=2 gap=30 size=441\n" + run,
+       4},
+      {graph + "flows east class=2 users=1 size=441 think=10\n" + run, 3},
+      {graph + "source renewal east class=3 gap=30 size=441\n" + run, 3},
+      {"topology ring n=4 capacity=39.375 sched=wtp sdp=1,2,4\n"
+       "link x capacity=10 sched=wtp sdp=1\n"
+       "route fwd x\n"
+       "route east from=n0 to=n2\n"
+       "flows east class=1 users=1 size=441 think=10 reverse=fwd\n" + run,
+       5},
+      {head + src + "run until=10 warmup=-1\n", 4},
+      {head + src + "run until=-1\n", 4},
+      {head + src + "run until=10 seed=-1\n", 4},
+      {head + src + "run until=10 seed=1e300\n", 4},
+      {head + src + "run until=10 seed=2.5\n", 4},
+      {head + src + "run until=10 seed=9007199254740994\n", 4},
+  };
+  for (const Case& c : cases) {
+    const std::string prefix =
+        "scenario line " + std::to_string(c.line) + ": ";
+    try {
+      parse_scenario(c.text);
+      ADD_FAILURE() << "accepted:\n" << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+          << e.what() << "\nfor:\n" << c.text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not std::invalid_argument: " << e.what()
+                    << "\nfor:\n" << c.text;
+    }
+  }
+}
+
+TEST(ScenarioErrors, DomainBoundariesStillParse) {
+  const std::string head =
+      "link a capacity=39.375 sched=wtp sdp=1,1,4,8\n"
+      "route r a\n";
+  const auto s = parse_scenario(
+      head +
+      "source renewal r class=3 gap=30 size=441 pareto=1.01\n"
+      "source mix r fractions=0,1,0,1 gap=30 size=441\n"
+      "flows r class=3 users=1 size=441 think=0 reverse=r deadline=0\n"
+      "run until=10 warmup=0 seed=9007199254740992\n");
+  EXPECT_EQ(s.run.seed, 9007199254740992u);
+  EXPECT_EQ(parse_scenario(head +
+                           "source renewal r class=0 gap=30 size=441\n"
+                           "run until=10 seed=0\n")
+                .run.seed,
+            0u);
+}
+
 TEST(ScenarioErrors, DuplicateIdsNameTheOffendingLine) {
   EXPECT_NE(parse_error("link a capacity=10 sched=fcfs sdp=1\n"
                         "link b capacity=10 sched=fcfs sdp=1\n"
