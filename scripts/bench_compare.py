@@ -24,7 +24,7 @@ import json
 import sys
 
 # Metrics where a larger value is an improvement; everything else numeric is
-# treated as a cost. Section-level scalars (e.g. pipeline_calendar_over_heap)
+# treated as a cost. Section-level scalars (e.g. pipeline_radix_over_heap)
 # are reported but never gated — they are ratios, not regressions.
 HIGHER_IS_BETTER = {"items_per_second"}
 SKIP_KEYS = {"preset", "repetitions", "git", "context"}

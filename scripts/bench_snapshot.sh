@@ -9,7 +9,7 @@
 # Quick mode keeps wall time small (~30 s): 0.25 s per benchmark, one
 # repetition. The JSON records events/s, ns per op, and the allocation
 # counters for the event-queue hold model, the end-to-end packet pipeline
-# (heap vs calendar), and the scheduler dequeue microbenches, so a PR diff
+# (heap vs radix), and the scheduler dequeue microbenches, so a PR diff
 # shows hot-path regressions without anyone re-running the suite.
 #
 # The bench-pgo preset runs profile-guided optimization in two phases:
@@ -152,9 +152,9 @@ snapshot = {
 
 pipeline = snapshot["event_queue"]
 heap = pipeline.get("BM_PacketPipelineHeap", {}).get("items_per_second")
-cal = pipeline.get("BM_PacketPipelineCalendar", {}).get("items_per_second")
-if heap and cal:
-    snapshot["pipeline_calendar_over_heap"] = round(cal / heap, 3)
+radix = pipeline.get("BM_PacketPipelineRadix", {}).get("items_per_second")
+if heap and radix:
+    snapshot["pipeline_radix_over_heap"] = round(radix / heap, 3)
 
 with open(out, "w") as f:
     json.dump(snapshot, f, indent=2, sort_keys=False)

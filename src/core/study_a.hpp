@@ -47,9 +47,9 @@ struct StudyAConfig {
   std::uint64_t seed = 1;
 
   // Kernel pending-event set; results are identical for both (see the
-  // event-queue differential tests), the calendar can be faster at large
-  // event populations.
-  EventQueueKind event_queue = EventQueueKind::kBinaryHeap;
+  // event-queue differential tests). The binary heap is the reference
+  // oracle.
+  EventQueueKind event_queue = kDefaultEventQueue;
 
   // Monitoring timescales (time units) for the Figure 3 metric; empty
   // disables interval monitoring.

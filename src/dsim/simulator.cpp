@@ -10,20 +10,6 @@
 
 namespace pds {
 
-Simulator::Simulator(EventQueueKind queue) : events_(queue) {}
-
-void Simulator::schedule_at(SimTime t, Action action, const char* label) {
-  PDS_CHECK(t >= now_, "cannot schedule an event in the past");
-  PDS_CHECK(static_cast<bool>(action), "null event action");
-  if (label != nullptr) action.set_label(label);
-  events_.push(EventItem{t, next_seq_++, std::move(action)});
-}
-
-void Simulator::schedule_in(SimTime dt, Action action, const char* label) {
-  PDS_CHECK(dt >= 0.0, "negative delay");
-  schedule_at(now_ + dt, std::move(action), label);
-}
-
 void Simulator::run() {
   drain(std::numeric_limits<SimTime>::infinity(), DrainBound::kNone);
 }

@@ -11,10 +11,13 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "dsim/event_queue.hpp"
 #include "dsim/sim_event.hpp"
 #include "dsim/time.hpp"
+#include "util/contracts.hpp"
 
 namespace pds {
 
@@ -35,7 +38,7 @@ class SimBudgetExceeded : public std::runtime_error {
 
   SimTime now;             // clock when the budget tripped
   std::uint64_t executed;  // events executed in the tripping run call
-  std::size_t pending;     // pending-event heap size at the trip
+  std::size_t pending;     // pending-event count at the trip
 };
 
 // Kernel-level observer invoked around every executed event. The profiler in
@@ -63,12 +66,13 @@ class Simulator {
   // heap; closures may own their captures by move). See dsim/sim_event.hpp.
   using Action = SimEvent;
 
-  // The pending-event set defaults to a binary heap; packet-level
-  // workloads with roughly uniform event spacing can opt into the calendar
-  // queue (see dsim/event_queue.hpp). Both give identical execution orders.
-  // The queue is a sealed variant held by value — no virtual dispatch and
-  // no pointer indirection on the per-event path.
-  explicit Simulator(EventQueueKind queue = EventQueueKind::kBinaryHeap);
+  // The pending-event set defaults to the monotone radix queue; the binary
+  // heap is the reference oracle (see dsim/event_queue.hpp). Both give
+  // identical execution orders. The queue is a sealed variant held by
+  // value — no virtual dispatch and no pointer indirection on the
+  // per-event path.
+  explicit Simulator(EventQueueKind queue = kDefaultEventQueue)
+      : events_(queue) {}
 
   // Non-copyable: scheduled actions capture `this` of client objects.
   Simulator(const Simulator&) = delete;
@@ -88,10 +92,30 @@ class Simulator {
   // `label` is an optional profiling category for the SimMonitor hook; it
   // must be a literal / static string (the event stores the pointer). A
   // non-null `label` overrides any label the SimEvent already carries.
-  void schedule_at(SimTime t, Action action, const char* label = nullptr);
+  //
+  // Header-inline so callers' scheduling sites flatten into the queue push;
+  // the action moves once into the queue's storage and once out at run
+  // time. The returned handle may be passed to cancel().
+  EventHandle schedule_at(SimTime t, Action action,
+                          const char* label = nullptr) {
+    PDS_CHECK(t >= now_, "cannot schedule an event in the past");
+    PDS_CHECK(static_cast<bool>(action), "null event action");
+    if (label != nullptr) action.set_label(label);
+    return events_.push(t, next_seq_++, std::move(action));
+  }
 
   // Schedules `action` `dt >= 0` after the current time.
-  void schedule_in(SimTime dt, Action action, const char* label = nullptr);
+  EventHandle schedule_in(SimTime dt, Action action,
+                          const char* label = nullptr) {
+    PDS_CHECK(dt >= 0.0, "negative delay");
+    return schedule_at(now_ + dt, std::move(action), label);
+  }
+
+  // Removes a pending event without running it (O(1) on the radix queue).
+  // Returns false, and does nothing, if the event already ran, is running,
+  // or was cancelled. A cancelled event counts in neither executed_events()
+  // nor pending_events(), and the other events keep their relative order.
+  bool cancel(EventHandle handle) noexcept { return events_.cancel(handle); }
 
   // Runs events until the queue is empty, `run_until` horizon is reached, or
   // stop() is called. Events exactly at the horizon still fire. When the

@@ -61,7 +61,10 @@ void FaultInjector::arm() {
     std::vector<std::string> targets;
     if (ep.target == "*") {
       for (const auto& [name, link] : links_) targets.push_back(name);
-      if (targets.empty()) bad_plan("episode targets *, nothing attached");
+      if (targets.empty()) {
+        bad_plan("line " + std::to_string(ep.line) +
+                 ": episode targets *, nothing attached");
+      }
     } else if (is_target_pattern(ep.target)) {
       for (const auto& name : attach_order_) {
         if (target_pattern_matches(ep.target, name)) targets.push_back(name);
@@ -72,14 +75,16 @@ void FaultInjector::arm() {
       }
     } else {
       if (links_.find(ep.target) == links_.end()) {
-        bad_plan("unknown target " + ep.target);
+        bad_plan("line " + std::to_string(ep.line) + ": unknown target " +
+                 ep.target);
       }
       targets.push_back(ep.target);
     }
     for (const auto& name : targets) {
       if (ep.kind == FaultKind::kLoss &&
           lossies_.find(name) == lossies_.end()) {
-        bad_plan("loss episode targets " + name +
+        bad_plan("line " + std::to_string(ep.line) +
+                 ": loss episode targets " + name +
                  ", which is not a lossy link");
       }
       Instance inst;

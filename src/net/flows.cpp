@@ -6,6 +6,21 @@
 
 namespace pds {
 
+namespace {
+// The low half of kNoFlow: no user id or attempt number takes it.
+constexpr std::uint32_t kNoFlowUser = ~std::uint32_t{0};
+// Attempts reserved per user up front: enough for every retry of the
+// shipped scenarios, so the run phase never grows a user's attempt list.
+constexpr std::uint32_t kReservedAttempts = 8;
+}  // namespace
+
+std::uint32_t FlowIdAllocator::reserve(std::uint32_t count) {
+  PDS_CHECK(count <= kNoFlowUser - next_, "too many flow users in one run");
+  const std::uint32_t first = next_;
+  next_ += count;
+  return first;
+}
+
 void RpcConfig::validate() const {
   PDS_CHECK(users >= 1, "flows need at least one user");
   PDS_CHECK(request_packets >= 1, "request needs at least one packet");
@@ -40,11 +55,14 @@ RpcWorkload::RpcWorkload(Simulator& sim, Network& net, PacketIdAllocator& ids,
   config_.validate();
   PDS_CHECK(forward < net.num_routes() && reverse < net.num_routes(),
             "flows reference unknown routes");
+  first_flow_ = flows.reserve(config_.users);
   users_.reserve(config_.users);
   // Per-user streams split in user order — byte-reproducible from the seed.
   for (std::uint32_t u = 0; u < config_.users; ++u) {
     User user;
     user.rng = rng.split();
+    user.attempts.reserve(
+        std::min(config_.max_retries + 1, kReservedAttempts));
     users_.push_back(std::move(user));
   }
 }
@@ -69,7 +87,7 @@ void RpcWorkload::issue_rpc(std::uint32_t user) {
   u.waiting = true;
   ++waiting_;
   u.issue_time = sim_.now();
-  u.attempts = 0;
+  u.first_attempt = u.next_attempt;
   u.cur_rto = config_.rto;
   ++stats_.issued;
   send_attempt(user);
@@ -77,11 +95,11 @@ void RpcWorkload::issue_rpc(std::uint32_t user) {
 
 void RpcWorkload::send_attempt(std::uint32_t user) {
   User& u = users_[user];
-  ++u.attempts;
-  const FlowId flow = flows_.next();
-  attempts_.emplace(flow, Attempt{user, config_.request_packets,
-                                  config_.response_packets});
-  u.outstanding.push_back(flow);
+  PDS_CHECK(u.next_attempt != kNoFlowUser, "rpc attempt numbers exhausted");
+  const FlowId flow =
+      (static_cast<FlowId>(u.next_attempt++) << 32) | (first_flow_ + user);
+  u.attempts.push_back(
+      Attempt{config_.request_packets, config_.response_packets});
   for (std::uint32_t k = 0; k < config_.request_packets; ++k) {
     Packet p;
     p.id = ids_.next();
@@ -92,24 +110,26 @@ void RpcWorkload::send_attempt(std::uint32_t user) {
     net_.inject(std::move(p), forward_);
   }
   if (config_.rto > 0.0) {
-    const std::uint64_t seq = u.seq;
-    const std::uint32_t attempt = u.attempts;
-    sim_.schedule_in(
-        u.cur_rto,
-        [this, user, seq, attempt] { on_timeout(user, seq, attempt); },
-        "flow.rto");
+    u.rto = sim_.schedule_in(
+        u.cur_rto, [this, user] { on_timeout(user); }, "flow.rto");
   }
 }
 
 void RpcWorkload::on_route_exit(const Packet& p, SimTime now) {
-  const auto it = attempts_.find(p.flow);
-  if (it == attempts_.end()) return;  // foreign workload or abandoned attempt
-  Attempt& attempt = it->second;
+  // Unsigned wrap sends ids below first_flow_ out of range too.
+  const std::uint32_t user =
+      static_cast<std::uint32_t>(p.flow) - first_flow_;
+  if (user >= users_.size()) return;  // another workload's, or no flow
+  User& u = users_[user];
+  const std::uint32_t index = static_cast<std::uint32_t>(p.flow >> 32) -
+                              u.first_attempt;
+  if (!u.waiting || index >= u.attempts.size()) return;  // abandoned attempt
+  Attempt& attempt = u.attempts[index];
   if (attempt.remaining_request > 0) {
     if (--attempt.remaining_request == 0) {
       // Server turnaround: the response leaves immediately with the same
       // flow id on the reverse route.
-      const FlowId flow = it->first;
+      const FlowId flow = p.flow;
       for (std::uint32_t k = 0; k < config_.response_packets; ++k) {
         Packet r;
         r.id = ids_.next();
@@ -123,21 +143,22 @@ void RpcWorkload::on_route_exit(const Packet& p, SimTime now) {
     return;
   }
   PDS_REQUIRE(attempt.remaining_response > 0);
-  if (--attempt.remaining_response == 0) finish_rpc(attempt.user, true, now);
+  if (--attempt.remaining_response == 0) finish_rpc(user, true, now);
 }
 
-void RpcWorkload::on_timeout(std::uint32_t user, std::uint64_t seq,
-                             std::uint32_t attempt) {
+void RpcWorkload::on_timeout(std::uint32_t user) {
   User& u = users_[user];
-  // Stale timer: the RPC completed/failed, or a newer attempt re-armed.
-  if (!u.waiting || u.seq != seq || u.attempts != attempt) return;
+  // Only the current attempt's timer is ever pending: finish_rpc cancels
+  // it, and a retry arms the next one from here.
+  PDS_REQUIRE(u.waiting);
+  u.rto = EventHandle{};
 
   // A timeout is a failure signal: it always costs a throttle token
   // (grpc retry_filter semantics), whether or not a retry follows.
   const bool throttling = config_.throttle_tokens > 0.0;
   if (throttling) tokens_ = std::max(0.0, tokens_ - 1.0);
 
-  const bool retries_left = u.attempts <= config_.max_retries;
+  const bool retries_left = u.attempts.size() <= config_.max_retries;
   const bool throttle_open =
       !throttling || tokens_ > config_.throttle_tokens / 2.0;
   if (retries_left && throttle_open) {
@@ -154,11 +175,11 @@ void RpcWorkload::finish_rpc(std::uint32_t user, bool completed,
                              SimTime now) {
   User& u = users_[user];
   PDS_REQUIRE(u.waiting);
-  for (const FlowId flow : u.outstanding) attempts_.erase(flow);
-  u.outstanding.clear();
+  sim_.cancel(u.rto);
+  u.rto = EventHandle{};
+  u.attempts.clear();
   u.waiting = false;
   --waiting_;
-  ++u.seq;
 
   if (completed && config_.throttle_tokens > 0.0) {
     tokens_ = std::min(config_.throttle_tokens,

@@ -27,15 +27,19 @@
 // which keeps the closed loop alive even when a fault outage drops every
 // copy of a request.
 //
-// Every attempt carries a fresh FlowId from a shared FlowIdAllocator, so
-// multiple workloads can share routes and stale packets of abandoned
-// attempts are ignored on exit. All timing comes from Simulator events and
-// all randomness from the per-user Rng streams split off the workload Rng
-// at construction — runs are byte-reproducible from the scenario seed.
+// Each workload reserves one id per user from a shared FlowIdAllocator, so
+// multiple workloads can share routes. An attempt's FlowId is that user id
+// in the low 32 bits and the user's attempt number in the high 32, so an
+// exiting packet finds its user's slot by subtraction and its attempt by
+// offset, with no per-attempt allocation; packets of abandoned attempts
+// fall outside the current RPC's attempt range and are ignored. A completed
+// RPC cancels its pending retry timer, so no stale timer ever runs. All
+// timing comes from Simulator events and all randomness from the per-user
+// Rng streams split off the workload Rng at construction — runs are
+// byte-reproducible from the scenario seed.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -45,14 +49,16 @@
 
 namespace pds {
 
-// Shared monotone flow-id counter so attempt ids are unique across every
-// workload of a run (mirrors PacketIdAllocator).
+// Shared monotone counter of per-user flow ids, so attempt ids are unique
+// across every workload of a run (mirrors PacketIdAllocator).
 class FlowIdAllocator {
  public:
-  FlowId next() noexcept { return next_++; }
+  // First of `count` consecutive user ids. Every id stays below 2^32 - 1,
+  // so no attempt id can equal kNoFlow.
+  std::uint32_t reserve(std::uint32_t count);
 
  private:
-  FlowId next_ = 0;
+  std::uint32_t next_ = 0;
 };
 
 struct RpcConfig {
@@ -130,25 +136,27 @@ class RpcWorkload {
 
  private:
   struct Attempt {
-    std::uint32_t user = 0;
     std::uint32_t remaining_request = 0;
     std::uint32_t remaining_response = 0;
   };
   struct User {
     Rng rng;
-    std::uint64_t seq = 0;       // current RPC sequence (staleness guard)
     bool waiting = false;
     SimTime issue_time = kTimeZero;
     double cur_rto = 0.0;
-    std::uint32_t attempts = 0;  // attempts issued for the current RPC
-    std::vector<FlowId> outstanding;
+    // Attempt numbers count every attempt this user ever sent; the current
+    // RPC's attempts are numbered [first_attempt, first_attempt +
+    // attempts.size()).
+    std::uint32_t first_attempt = 0;
+    std::uint32_t next_attempt = 0;
+    std::vector<Attempt> attempts;  // the current RPC's, oldest first
+    EventHandle rto;                // the pending retry timer, if any
   };
 
   void schedule_think(std::uint32_t user);
   void issue_rpc(std::uint32_t user);
   void send_attempt(std::uint32_t user);
-  void on_timeout(std::uint32_t user, std::uint64_t seq,
-                  std::uint32_t attempt);
+  void on_timeout(std::uint32_t user);
   void finish_rpc(std::uint32_t user, bool completed, SimTime now);
 
   Simulator& sim_;
@@ -160,8 +168,8 @@ class RpcWorkload {
   RpcConfig config_;
   double rto_cap_ = 0.0;
   ExponentialDist think_;
+  std::uint32_t first_flow_ = 0;  // users_[u]'s id is first_flow_ + u
   std::vector<User> users_;
-  std::unordered_map<FlowId, Attempt> attempts_;
   RpcStats stats_;
   SimTime warmup_ = kTimeZero;
   double tokens_ = 0.0;

@@ -3,9 +3,8 @@
 // Attach with `sim.set_monitor(&profiler)` and every executed event is
 // attributed — by the static label given at schedule time — to a category
 // accumulating event counts and wall-clock time. The profiler also samples
-// the pending-event-queue depth at every event, giving the event-set
-// occupancy distribution that decides between the binary heap and the
-// calendar queue (see dsim/event_queue.hpp).
+// the pending-event-queue depth at every event: the event-set occupancy
+// that prices the radix queue's bucket scans (see dsim/event_queue.hpp).
 //
 // Event counts and queue-depth statistics are exact. Wall time is sampled:
 // the clock is read only for a deterministic 1-in-~kStride sample of each

@@ -14,7 +14,9 @@
 namespace pds {
 
 using ClassId = std::uint32_t;
-using FlowId = std::uint32_t;
+// 64 bits so an RPC attempt id can carry its user slot in the low half and
+// the user's attempt number in the high half (net/flows.hpp).
+using FlowId = std::uint64_t;
 using RouteId = std::uint32_t;
 
 inline constexpr FlowId kNoFlow = ~FlowId{0};
@@ -26,11 +28,13 @@ struct Packet {
   std::uint32_t size_bytes = 0;   // wire size
   FlowId flow = kNoFlow;          // owning flow, if any (Study B user flows)
   RouteId route = kNoRoute;       // path through a net::Network, if routed
+  std::uint32_t hops_done = 0;    // number of hops already traversed
   SimTime created = kTimeZero;    // emission time at the original source
   SimTime arrival = kTimeZero;    // arrival at the *current* hop's queue
   SimTime cum_queueing = 0.0;     // accumulated queueing delay over past hops
-  std::uint32_t hops_done = 0;    // number of hops already traversed
 };
+
+static_assert(sizeof(Packet) == 56, "Packet should stay 56 bytes");
 
 // Paper's 1-based class label for reports: internal index i corresponds to
 // paper "class i+1" (class 1 is the lowest class in both conventions).

@@ -1,6 +1,6 @@
 // Differential test for the event-dispatch refactor: the kernel's execution
 // order must be bit-identical under both pending-event-set implementations.
-// Runs Study A twice with the same seed — binary heap vs calendar queue —
+// Runs Study A twice with the same seed — binary heap vs radix queue —
 // and asserts the PacketTracer lifecycle files are byte-identical, plus the
 // aggregate results agree exactly.
 #include <cstdint>
@@ -39,42 +39,42 @@ StudyAConfig base_config() {
   return c;
 }
 
-TEST(DispatchEquivalence, HeapAndCalendarProduceByteIdenticalTraces) {
+TEST(DispatchEquivalence, HeapAndRadixProduceByteIdenticalTraces) {
   TempFile heap_file("pds_equiv_heap.csv");
-  TempFile cal_file("pds_equiv_calendar.csv");
+  TempFile radix_file("pds_equiv_radix.csv");
 
   StudyAConfig heap_cfg = base_config();
   heap_cfg.event_queue = EventQueueKind::kBinaryHeap;
   heap_cfg.trace_out = heap_file.path;
   const StudyAResult heap = run_study_a(heap_cfg);
 
-  StudyAConfig cal_cfg = base_config();
-  cal_cfg.event_queue = EventQueueKind::kCalendar;
-  cal_cfg.trace_out = cal_file.path;
-  const StudyAResult cal = run_study_a(cal_cfg);
+  StudyAConfig radix_cfg = base_config();
+  radix_cfg.event_queue = EventQueueKind::kRadix;
+  radix_cfg.trace_out = radix_file.path;
+  const StudyAResult radix = run_study_a(radix_cfg);
 
   // The traced lifecycles cover arrival/enqueue/dequeue/depart with full
   // timestamps, so byte equality pins the whole execution order.
   ASSERT_GT(heap.trace_records, 0u);
-  EXPECT_EQ(heap.trace_records, cal.trace_records);
+  EXPECT_EQ(heap.trace_records, radix.trace_records);
   const std::string heap_bytes = slurp(heap_file.path);
-  const std::string cal_bytes = slurp(cal_file.path);
+  const std::string radix_bytes = slurp(radix_file.path);
   ASSERT_FALSE(heap_bytes.empty());
-  EXPECT_TRUE(heap_bytes == cal_bytes)
+  EXPECT_TRUE(heap_bytes == radix_bytes)
       << "PacketTracer output diverged between event queue kinds";
 
   // Aggregates must agree exactly too (same arithmetic, same order).
-  EXPECT_EQ(heap.total_departures, cal.total_departures);
-  ASSERT_EQ(heap.mean_delays.size(), cal.mean_delays.size());
+  EXPECT_EQ(heap.total_departures, radix.total_departures);
+  ASSERT_EQ(heap.mean_delays.size(), radix.mean_delays.size());
   for (std::size_t i = 0; i < heap.mean_delays.size(); ++i) {
-    EXPECT_EQ(heap.mean_delays[i], cal.mean_delays[i]) << "class " << i;
-    EXPECT_EQ(heap.departures[i], cal.departures[i]) << "class " << i;
+    EXPECT_EQ(heap.mean_delays[i], radix.mean_delays[i]) << "class " << i;
+    EXPECT_EQ(heap.departures[i], radix.departures[i]) << "class " << i;
   }
 }
 
 TEST(DispatchEquivalence, HoldsForPoissonArrivalsToo) {
   TempFile heap_file("pds_equiv_heap_poisson.csv");
-  TempFile cal_file("pds_equiv_calendar_poisson.csv");
+  TempFile radix_file("pds_equiv_radix_poisson.csv");
 
   StudyAConfig heap_cfg = base_config();
   heap_cfg.arrivals = ArrivalModel::kPoisson;
@@ -83,15 +83,15 @@ TEST(DispatchEquivalence, HoldsForPoissonArrivalsToo) {
   heap_cfg.trace_out = heap_file.path;
   const StudyAResult heap = run_study_a(heap_cfg);
 
-  StudyAConfig cal_cfg = heap_cfg;
-  cal_cfg.event_queue = EventQueueKind::kCalendar;
-  cal_cfg.trace_out = cal_file.path;
-  const StudyAResult cal = run_study_a(cal_cfg);
+  StudyAConfig radix_cfg = heap_cfg;
+  radix_cfg.event_queue = EventQueueKind::kRadix;
+  radix_cfg.trace_out = radix_file.path;
+  const StudyAResult radix = run_study_a(radix_cfg);
 
   ASSERT_GT(heap.trace_records, 0u);
-  EXPECT_TRUE(slurp(heap_file.path) == slurp(cal_file.path))
+  EXPECT_TRUE(slurp(heap_file.path) == slurp(radix_file.path))
       << "PacketTracer output diverged between event queue kinds";
-  EXPECT_EQ(heap.total_departures, cal.total_departures);
+  EXPECT_EQ(heap.total_departures, radix.total_departures);
 }
 
 // Golden-trace regression: the two-queue differential above would pass if
@@ -105,7 +105,7 @@ TEST(DispatchEquivalence, StudyATraceMatchesGoldenHash) {
   constexpr std::uint64_t kGoldenRecords = 292;
 
   for (const auto kind :
-       {EventQueueKind::kBinaryHeap, EventQueueKind::kCalendar}) {
+       {EventQueueKind::kBinaryHeap, EventQueueKind::kRadix}) {
     TempFile trace_file("pds_golden_trace.csv");
     StudyAConfig cfg = base_config();
     cfg.event_queue = kind;

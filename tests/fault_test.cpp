@@ -452,6 +452,31 @@ TEST(FaultInjector, UnmatchedPatternsFailWithTheirPlanLine) {
   }
 }
 
+TEST(FaultPlan, AttachErrorsCarryLineNumbers) {
+  // Every arm()-time target error names the plan line it came from, like
+  // the parse errors do.
+  const auto arm_error = [](const std::string& plan, bool attach) {
+    Simulator sim;
+    FcfsScheduler sched{1};
+    Link link{sim, sched, 100.0, [](Packet&&, SimTime, SimTime) {}};
+    FaultInjector inj(sim, parse_fault_plan(plan));
+    if (attach) inj.attach("n0>n1", link);
+    try {
+      inj.arm();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(arm_error("seed 3\ndown nosuch at=10 for=5\n", true),
+            "fault plan: line 2: unknown target nosuch");
+  EXPECT_EQ(arm_error("# none\n\nloss n0>n1 at=1 for=2 rate=0.5\n", true),
+            "fault plan: line 3: loss episode targets n0>n1, which is not "
+            "a lossy link");
+  EXPECT_EQ(arm_error("stall * at=5 for=2\n", false),
+            "fault plan: line 1: episode targets *, nothing attached");
+}
+
 TEST(FaultInjector, AttachChainNamesEveryHop) {
   Simulator sim;
   SchedulerConfig sc;

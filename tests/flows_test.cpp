@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "net/flows.hpp"
 #include "net/scenario.hpp"
 
@@ -58,6 +60,40 @@ TEST(RpcWorkload, FctIsExactOnAnIdleLine) {
   EXPECT_EQ(wl.stats().failed, 0u);
   EXPECT_DOUBLE_EQ(wl.stats().fct.mean(), 2.0);
   EXPECT_DOUBLE_EQ(wl.stats().slo_attainment(), 1.0);
+}
+
+TEST(RpcWorkload, CompletedRpcsLeaveNoRetryTimerBehind) {
+  // Every RPC completes long before its rto: each completion cancels the
+  // pending retry timer, so no flow.rto event ever runs and the queue
+  // holds one timer per user plus at most one transmission per link.
+  struct RtoCounter : SimMonitor {
+    int rto_runs = 0;
+    void on_event_begin(SimTime, const char* label,
+                        std::size_t) noexcept override {
+      if (label != nullptr && std::string_view(label) == "flow.rto") {
+        ++rto_runs;
+      }
+    }
+    void on_event_end(SimTime, const char*) noexcept override {}
+  };
+  Harness h;
+  RpcConfig config;
+  config.users = 3;
+  config.size_bytes = 100;
+  config.think_mean = 5.0;
+  config.rto = 50.0;
+  config.max_retries = 2;
+  RpcWorkload wl(h.sim, h.net, h.ids, h.flow_ids, h.forward, h.reverse,
+                 config, Rng(4));
+  h.workload = &wl;
+  RtoCounter counter;
+  h.sim.set_monitor(&counter);
+  wl.start(0.0);
+  h.sim.run_until(1000.0);
+  EXPECT_GT(wl.stats().completed, 100u);
+  EXPECT_EQ(wl.stats().retries, 0u);
+  EXPECT_EQ(counter.rto_runs, 0);
+  EXPECT_LE(h.sim.pending_events(), config.users + 2u);
 }
 
 TEST(RpcWorkload, MultiPacketRequestAndResponseStretchTheFct) {

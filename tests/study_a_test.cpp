@@ -162,18 +162,18 @@ TEST(StudyA, RejectsBadPercentiles) {
   EXPECT_THROW(run_study_a(c), std::invalid_argument);
 }
 
-TEST(StudyA, CalendarKernelMatchesHeapExactly) {
+TEST(StudyA, RadixKernelMatchesHeapExactly) {
   // System-level differential test of the two pending-event sets: the
   // whole Study A pipeline must be bit-identical under either kernel.
   auto c = quick_config();
   c.event_queue = EventQueueKind::kBinaryHeap;
   const auto heap = run_study_a(c);
-  c.event_queue = EventQueueKind::kCalendar;
-  const auto calendar = run_study_a(c);
-  ASSERT_EQ(heap.total_departures, calendar.total_departures);
+  c.event_queue = EventQueueKind::kRadix;
+  const auto radix = run_study_a(c);
+  ASSERT_EQ(heap.total_departures, radix.total_departures);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(heap.mean_delays[i], calendar.mean_delays[i]);
-    EXPECT_EQ(heap.departures[i], calendar.departures[i]);
+    EXPECT_DOUBLE_EQ(heap.mean_delays[i], radix.mean_delays[i]);
+    EXPECT_EQ(heap.departures[i], radix.departures[i]);
   }
 }
 
