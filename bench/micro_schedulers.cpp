@@ -70,19 +70,30 @@ void run_pass(benchmark::State& state, pds::SchedulerKind kind) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto workload = make_workload(n, 4096);
   // The scheduler is built once, outside the timed loop: every pass drains
-  // it empty, and an untimed first pass grows its queues to working size,
-  // so allocs_per_pkt is the steady-state cost of a decision.
+  // it empty, and untimed passes grow its queues to working size, so
+  // allocs_per_pkt is the steady-state cost of a decision. One pass is not
+  // always enough: Virtual Clock's per-class clocks carry over, so each pass
+  // decides differently and a class backlog can reach a new peak a few
+  // passes in. Warm-up repeats until a pass allocates nothing (at most
+  // kMaxWarmup passes); warmup_passes reports how many it took.
+  constexpr int kMaxWarmup = 64;
   auto sched = pds::make_scheduler(kind, make_config(n));
   const double span = workload.back().arrival + 1.0;
   double base = 0.0;
-  pass(*sched, workload, base);
+  int warmup = 0;
+  for (bool grew = true; grew && warmup < kMaxWarmup; ++warmup) {
+    const std::uint64_t before = pds::bench::heap_allocations();
+    pass(*sched, workload, base);
+    grew = pds::bench::heap_allocations() != before;
+    base += span;
+  }
   std::uint64_t allocs = 0;
   std::uint64_t packets = 0;
   for (auto _ : state) {
-    base += span;
     const std::uint64_t before = pds::bench::heap_allocations();
     pass(*sched, workload, base);
     allocs += pds::bench::heap_allocations() - before;
+    base += span;
     packets += workload.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -90,6 +101,7 @@ void run_pass(benchmark::State& state, pds::SchedulerKind kind) {
   state.counters["allocs_per_pkt"] =
       packets ? static_cast<double>(allocs) / static_cast<double>(packets)
               : 0.0;
+  state.counters["warmup_passes"] = warmup;
 }
 
 void BM_Fcfs(benchmark::State& s) { run_pass(s, pds::SchedulerKind::kFcfs); }

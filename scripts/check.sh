@@ -52,6 +52,15 @@ SWEEP_A="$(mktemp)"; SWEEP_B="$(mktemp)"
 diff "${SWEEP_A}" "${SWEEP_B}"
 rm -f "${SWEEP_A}" "${SWEEP_B}"
 
+echo "== Study B (Table 1): stdout byte-identical for any --jobs =="
+# Study B runs its K-hop chain on the routed Network; each table cell is a
+# cell of the experiment engine, so the table must not depend on --jobs.
+T1_A="$(mktemp)"; T1_B="$(mktemp)"
+./build/bench/table1_endtoend --quick --jobs=1 > "${T1_A}"
+./build/bench/table1_endtoend --quick --jobs=4 > "${T1_B}"
+diff "${T1_A}" "${T1_B}"
+rm -f "${T1_A}" "${T1_B}"
+
 echo "== bad input: line-numbered errors, never a crash =="
 # Each repro below once escaped the grammars: 1e999 as a bare "stod" error,
 # nan, capacity=0, gap=0, a zero or decreasing SDP list and a class beyond
@@ -59,7 +68,11 @@ echo "== bad input: line-numbered errors, never a crash =="
 # size=-5 and seed=-1 into a run on nonsense values, and a fault plan naming
 # an unknown target, which once failed without its line. Every one must exit
 # non-zero with a "line N:" message and none of those failure signatures
-# (stod, check failed, a source path) on stderr.
+# (stod, check failed, a source path) on stderr. So must a key given twice
+# on one line (the last value once won silently: gap=1e9 after gap=20 ran a
+# different scenario) and a control-plan watermark that is not an integer
+# in range (1e300 once reached an undefined cast and a check in the link;
+# 2.5 was truncated to 2).
 BAD_DIR="$(mktemp -d)"
 RING=examples/scenarios/ring.pds
 for bad in 1e999 nan inf 0; do
@@ -76,11 +89,18 @@ sed "s/class=3/class=4/" "${RING}" > "${BAD_DIR}/flows_class_4.pds"
 sed "0,/fractions=40,30,20,10/s//fractions=40,30,20,10,5/" "${RING}" \
   > "${BAD_DIR}/mix_5_classes.pds"
 sed "s/seed=7/seed=-1/" "${RING}" > "${BAD_DIR}/seed_-1.pds"
+sed "0,/^source mix east .*/s//& gap=1e9/" "${RING}" \
+  > "${BAD_DIR}/duplicate_gap.pds"
 printf 'seed 1e999\n' > "${BAD_DIR}/fault_plan.txt"
 printf 'seed 1e300\n' > "${BAD_DIR}/fault_seed.txt"
 printf 'down nosuch at=10 for=5\n' > "${BAD_DIR}/fault_target.txt"
 printf 'retune n0>n1 at=nan w=1,3,9,27\n' > "${BAD_DIR}/control_plan.txt"
 printf 'seed 1e300\n' > "${BAD_DIR}/control_seed.txt"
+printf 'down n0>n1 at=10 for=5 at=20\n' > "${BAD_DIR}/fault_duplicate.txt"
+printf 'shed n0>n1 at=10 for=5 watermark=1e300\n' \
+  > "${BAD_DIR}/control_watermark_huge.txt"
+printf 'shed n0>n1 at=10 for=5 watermark=2.5\n' \
+  > "${BAD_DIR}/control_watermark_fraction.txt"
 expect_line_error() {
   local err="${BAD_DIR}/stderr"
   echo "   $*"
@@ -96,10 +116,11 @@ expect_line_error() {
 for pds in "${BAD_DIR}"/*.pds; do
   expect_line_error --file="${pds}"
 done
-for plan in fault_plan fault_seed fault_target; do
+for plan in fault_plan fault_seed fault_target fault_duplicate; do
   expect_line_error --file="${RING}" --fault-plan="${BAD_DIR}/${plan}.txt"
 done
-for plan in control_plan control_seed; do
+for plan in control_plan control_seed control_watermark_huge \
+    control_watermark_fraction; do
   expect_line_error --file="${RING}" --control-plan="${BAD_DIR}/${plan}.txt"
 done
 rm -rf "${BAD_DIR}"

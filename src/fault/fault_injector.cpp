@@ -5,7 +5,6 @@
 
 #include <sstream>
 
-#include "net/chain.hpp"
 #include "net/topology.hpp"
 #include "obs/probe.hpp"
 #include "obs/span.hpp"
@@ -198,12 +197,6 @@ void FaultInjector::end(std::size_t index) {
     case FaultKind::kLoss:
       inst.lossy->clear_burst_loss();
       break;
-  }
-}
-
-void attach_chain(FaultInjector& injector, ChainNetwork& chain) {
-  for (std::uint32_t h = 0; h < chain.hops(); ++h) {
-    injector.attach("hop" + std::to_string(h), chain.link_mut(h));
   }
 }
 

@@ -41,7 +41,6 @@
 
 namespace pds {
 
-class ChainNetwork;
 class Network;
 class SpanBuffer;
 
@@ -110,9 +109,8 @@ class FaultInjector {
   double span_scale_ = 1.0;
 };
 
-// Convenience attachments: every hop of a chain as "hop0".."hop<K-1>", and
-// every link of a routed Network under its link_name().
-void attach_chain(FaultInjector& injector, ChainNetwork& chain);
+// Convenience attachment: every link of a routed Network under its
+// link_name().
 void attach_network(FaultInjector& injector, Network& net);
 
 }  // namespace pds

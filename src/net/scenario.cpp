@@ -1,12 +1,11 @@
 #include "net/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
+#include <stdexcept>
 
 #include "ctrl/control_injector.hpp"
 #include "ctrl/control_plan.hpp"
@@ -20,115 +19,31 @@
 #include "stats/percentile.hpp"
 #include "traffic/source.hpp"
 #include "util/contracts.hpp"
-#include "util/number_parse.hpp"
+#include "util/directive.hpp"
 
 namespace pds {
 
 namespace {
 
 [[noreturn]] void fail(std::size_t line_no, const std::string& msg) {
-  throw std::invalid_argument("scenario line " + std::to_string(line_no) +
-                              ": " + msg);
+  fail_line("scenario", line_no, msg);
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::istringstream in(line);
-  std::vector<std::string> tokens;
-  std::string tok;
-  while (in >> tok) {
-    if (tok[0] == '#') break;  // trailing comment
-    tokens.push_back(tok);
-  }
-  return tokens;
+// Scenario directives take bare flags (poisson) besides key=value options.
+Options options(const Directive& d, std::size_t first) {
+  return Options(d, first, Options::Flags::kAllowed);
 }
 
-// key=value options after the positional tokens.
-class Options {
- public:
-  Options(const std::vector<std::string>& tokens, std::size_t first,
-          std::size_t line_no)
-      : line_no_(line_no) {
-    for (std::size_t i = first; i < tokens.size(); ++i) {
-      const auto& tok = tokens[i];
-      const auto eq = tok.find('=');
-      if (eq == std::string::npos) {
-        flags_.push_back(tok);
-      } else {
-        values_[tok.substr(0, eq)] = tok.substr(eq + 1);
-      }
-    }
-  }
+// A 32-bit integer option: an index (lo = 0) or a count (lo = 1).
+std::uint32_t u32(Options& opts, const std::string& key,
+                  std::uint64_t lo = 0) {
+  return static_cast<std::uint32_t>(opts.integer(key, lo, kMaxU32));
+}
 
-  bool flag(const std::string& name) {
-    for (auto it = flags_.begin(); it != flags_.end(); ++it) {
-      if (*it == name) {
-        flags_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::optional<std::string> take(const std::string& key) {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return std::nullopt;
-    std::string v = it->second;
-    values_.erase(it);
-    return v;
-  }
-
-  std::string require(const std::string& key) {
-    auto v = take(key);
-    if (!v) fail(line_no_, "missing required option " + key + "=...");
-    return *v;
-  }
-
-  double number(const std::string& key) {
-    return to_number(require(key));
-  }
-
-  double number_or(const std::string& key, double def) {
-    const auto v = take(key);
-    return v ? to_number(*v) : def;
-  }
-
-  std::vector<double> list(const std::string& key) {
-    const std::string raw = require(key);
-    std::vector<double> out;
-    std::size_t start = 0;
-    while (start <= raw.size()) {
-      const auto comma = raw.find(',', start);
-      const auto item = raw.substr(
-          start, comma == std::string::npos ? std::string::npos
-                                            : comma - start);
-      if (item.empty()) fail(line_no_, "empty element in " + key);
-      out.push_back(to_number(item));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    return out;
-  }
-
-  void finish() const {
-    if (!values_.empty()) {
-      fail(line_no_, "unknown option " + values_.begin()->first);
-    }
-    if (!flags_.empty()) {
-      fail(line_no_, "unknown flag " + flags_.front());
-    }
-  }
-
- private:
-  double to_number(const std::string& raw) const {
-    const ParsedNumber n = parse_finite(raw);
-    if (n.error != nullptr) fail(line_no_, std::string(n.error) + ": " + raw);
-    return n.value;
-  }
-
-  std::size_t line_no_;
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> flags_;
-};
+std::uint32_t u32_or(Options& opts, const std::string& key,
+                     std::uint32_t def) {
+  return static_cast<std::uint32_t>(opts.integer_or(key, def, 0, kMaxU32));
+}
 
 // Parse-time view of the declared graph, for routed-route validation.
 struct ParseGraph {
@@ -137,51 +52,6 @@ struct ParseGraph {
   std::map<std::string, std::uint32_t> link_index;  // into scenario.links
   std::set<std::string> route_names;
 };
-
-// Integer option value in [0, 2^32) — or [1, 2^32) when `positive` — with a
-// clean per-line error instead of a truncating or undefined cast.
-std::uint32_t checked_integer(double v, const std::string& key, bool positive,
-                              std::size_t line_no) {
-  if (v < (positive ? 1.0 : 0.0) ||
-      v > static_cast<double>(std::numeric_limits<std::uint32_t>::max()) ||
-      v != std::floor(v)) {
-    fail(line_no, key + (positive ? " must be a positive integer"
-                                  : " must be a non-negative integer"));
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-std::uint32_t integer(Options& opts, const std::string& key,
-                      std::size_t line_no, bool positive = false) {
-  return checked_integer(opts.number(key), key, positive, line_no);
-}
-
-std::uint32_t integer_or(Options& opts, const std::string& key,
-                         std::uint32_t def, std::size_t line_no) {
-  return checked_integer(opts.number_or(key, def), key, false, line_no);
-}
-
-// Optional burst=<k> option: packets drained per scheduler decision.
-// Defaults to 1 (classic single-packet service, byte-identical traces).
-std::uint32_t parse_burst(Options& opts, std::size_t line_no) {
-  const double v = opts.number_or("burst", 1.0);
-  if (v < 1.0 || v > static_cast<double>(kMaxBurst) ||
-      v != static_cast<double>(static_cast<std::uint64_t>(v))) {
-    fail(line_no,
-         "burst must be an integer in [1, " + std::to_string(kMaxBurst) + "]");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-// Optional buffer=<pkts> option: finite drop-tail buffer. Defaults to 0
-// (the paper's lossless link).
-std::uint64_t parse_buffer(Options& opts, std::size_t line_no) {
-  const double v = opts.number_or("buffer", 0.0);
-  if (v < 0.0 || v > 0x1p53 || v != std::floor(v)) {
-    fail(line_no, "buffer must be a non-negative packet count");
-  }
-  return static_cast<std::uint64_t>(v);
-}
 
 // The options every link directive shares (capacity=, sched=, sdp=,
 // burst=, buffer=), held to the contracts Link and the schedulers enforce.
@@ -203,8 +73,12 @@ void parse_link_options(ScenarioLink& link, Options& opts,
            "sdp values must be non-decreasing (higher class = larger s)");
     }
   }
-  link.burst = parse_burst(opts, line_no);
-  link.buffer = parse_buffer(opts, line_no);
+  // burst=<k>: packets drained per scheduler decision (1 = classic
+  // single-packet service). buffer=<pkts>: a finite drop-tail buffer (0 =
+  // the paper's lossless link).
+  link.burst = static_cast<std::uint32_t>(
+      opts.integer_or("burst", 1, 1, kMaxBurst));
+  link.buffer = opts.integer_or("buffer", 0, 0, kMaxExactInteger);
 }
 
 void add_scenario_node(Scenario& scenario, ParseGraph& graph,
@@ -246,14 +120,14 @@ const ScenarioRoute* find_route(const Scenario& scenario,
 }
 
 void expand_topology(Scenario& scenario, ParseGraph& graph,
-                     const std::vector<std::string>& tokens,
-                     std::size_t line_no) {
-  if (tokens.size() < 2) fail(line_no, "topology needs a kind");
-  const std::string& kind = tokens[1];
-  Options opts(tokens, 2, line_no);
+                     const Directive& d) {
+  const std::size_t line_no = d.line();
+  if (d.size() < 2) fail(line_no, "topology needs a kind");
+  const std::string& kind = d[1];
+  Options opts = options(d, 2);
   TopologySpec spec;
   if (kind == "line" || kind == "ring") {
-    const std::uint32_t n = integer(opts, "n", line_no);
+    const std::uint32_t n = u32(opts, "n");
     if (kind == "line") {
       if (n < 2) fail(line_no, "line needs n >= 2");
       spec = make_line_topology(n);
@@ -262,12 +136,12 @@ void expand_topology(Scenario& scenario, ParseGraph& graph,
       spec = make_ring_topology(n);
     }
   } else if (kind == "fat_tree") {
-    const std::uint32_t k = integer(opts, "k", line_no);
+    const std::uint32_t k = u32(opts, "k");
     if (k < 2 || k % 2 != 0) fail(line_no, "fat_tree needs an even k >= 2");
     spec = make_fat_tree_topology(k);
   } else if (kind == "two_tier") {
-    const std::uint32_t cores = integer(opts, "cores", line_no);
-    const std::uint32_t pops = integer(opts, "pops", line_no);
+    const std::uint32_t cores = u32(opts, "cores");
+    const std::uint32_t pops = u32(opts, "pops");
     if (cores < 1 || pops < 1) {
       fail(line_no, "two_tier needs cores >= 1 and pops >= 1");
     }
@@ -403,25 +277,20 @@ Scenario parse_scenario(const std::string& text) {
   ParseGraph graph;
   DirectiveLines lines;
   bool saw_run = false;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto tokens = tokenize(line);
-    if (tokens.empty()) continue;
-    const auto& kind = tokens[0];
+  for_each_directive(text, "scenario", [&](const Directive& d) {
+    const std::size_t line_no = d.line();
+    const std::string& kind = d.name();
 
     if (kind == "node") {
-      if (tokens.size() < 2) fail(line_no, "node needs a name");
-      Options opts(tokens, 2, line_no);
+      if (d.size() < 2) fail(line_no, "node needs a name");
+      Options opts = options(d, 2);
       opts.finish();
-      add_scenario_node(scenario, graph, tokens[1], line_no);
+      add_scenario_node(scenario, graph, d[1], line_no);
     } else if (kind == "edge") {
-      if (tokens.size() < 2) fail(line_no, "edge needs a name");
+      if (d.size() < 2) fail(line_no, "edge needs a name");
       ScenarioLink link;
-      link.name = tokens[1];
-      Options opts(tokens, 2, line_no);
+      link.name = d[1];
+      Options opts = options(d, 2);
       link.from = opts.require("from");
       link.to = opts.require("to");
       require_node(graph, link.from, line_no);
@@ -431,25 +300,25 @@ Scenario parse_scenario(const std::string& text) {
       opts.finish();
       add_scenario_link(scenario, graph, std::move(link), line_no);
     } else if (kind == "topology") {
-      expand_topology(scenario, graph, tokens, line_no);
+      expand_topology(scenario, graph, d);
     } else if (kind == "link") {
-      if (tokens.size() < 2) fail(line_no, "link needs a name");
+      if (d.size() < 2) fail(line_no, "link needs a name");
       ScenarioLink link;
-      link.name = tokens[1];
-      Options opts(tokens, 2, line_no);
+      link.name = d[1];
+      Options opts = options(d, 2);
       parse_link_options(link, opts, line_no);
       opts.finish();
       add_scenario_link(scenario, graph, std::move(link), line_no);
     } else if (kind == "route") {
-      if (tokens.size() < 3) fail(line_no, "route needs a name and links");
+      if (d.size() < 3) fail(line_no, "route needs a name and links");
       ScenarioRoute route;
-      route.name = tokens[1];
+      route.name = d[1];
       if (!graph.route_names.insert(route.name).second) {
         fail(line_no, "duplicate route name " + route.name);
       }
-      const bool routed = tokens[2].find('=') != std::string::npos;
+      const bool routed = d[2].find('=') != std::string::npos;
       if (routed) {
-        Options opts(tokens, 2, line_no);
+        Options opts = options(d, 2);
         route.from = opts.require("from");
         route.to = opts.require("to");
         opts.finish();
@@ -463,18 +332,18 @@ Scenario parse_scenario(const std::string& text) {
           fail(line_no, "no path from " + route.from + " to " + route.to);
         }
       } else {
-        for (std::size_t i = 2; i < tokens.size(); ++i) {
-          if (!graph.link_index.count(tokens[i])) {
-            fail(line_no, "unknown link " + tokens[i]);
+        for (std::size_t i = 2; i < d.size(); ++i) {
+          if (!graph.link_index.count(d[i])) {
+            fail(line_no, "unknown link " + d[i]);
           }
-          route.links.push_back(tokens[i]);
+          route.links.push_back(d[i]);
         }
       }
       scenario.routes.push_back(std::move(route));
     } else if (kind == "source") {
-      if (tokens.size() < 3) fail(line_no, "source needs a kind and route");
+      if (d.size() < 3) fail(line_no, "source needs a kind and route");
       ScenarioSource src;
-      const auto& sk = tokens[1];
+      const auto& sk = d[1];
       if (sk == "renewal") {
         src.kind = ScenarioSourceKind::kRenewal;
       } else if (sk == "mix") {
@@ -484,18 +353,18 @@ Scenario parse_scenario(const std::string& text) {
       } else {
         fail(line_no, "unknown source kind " + sk);
       }
-      src.route = tokens[2];
+      src.route = d[2];
       if (!find_route(scenario, src.route)) {
         fail(line_no, "unknown route " + src.route);
       }
 
-      Options opts(tokens, 3, line_no);
+      Options opts = options(d, 3);
       src.start = opts.number_or("start", 0.0);
       if (src.start < 0.0) fail(line_no, "start must be non-negative");
-      src.size_bytes = integer(opts, "size", line_no, /*positive=*/true);
+      src.size_bytes = u32(opts, "size", 1);
       switch (src.kind) {
         case ScenarioSourceKind::kRenewal:
-          src.cls = integer(opts, "class", line_no);
+          src.cls = u32(opts, "class");
           parse_gaps(src, opts, line_no);
           break;
         case ScenarioSourceKind::kMix: {
@@ -510,8 +379,8 @@ Scenario parse_scenario(const std::string& text) {
           break;
         }
         case ScenarioSourceKind::kCbr:
-          src.cls = integer(opts, "class", line_no);
-          src.count = integer(opts, "count", line_no, /*positive=*/true);
+          src.cls = u32(opts, "class");
+          src.count = u32(opts, "count", 1);
           src.interval = opts.number("interval");
           if (src.interval <= 0.0) {
             fail(line_no, "interval must be positive");
@@ -522,23 +391,23 @@ Scenario parse_scenario(const std::string& text) {
       scenario.sources.push_back(std::move(src));
       lines.sources.push_back(line_no);
     } else if (kind == "flows") {
-      if (tokens.size() < 2) fail(line_no, "flows need a route");
+      if (d.size() < 2) fail(line_no, "flows need a route");
       ScenarioFlows f;
-      f.route = tokens[1];
+      f.route = d[1];
       const ScenarioRoute* route = find_route(scenario, f.route);
       if (!route) fail(line_no, "unknown route " + f.route);
 
-      Options opts(tokens, 2, line_no);
-      f.cls = static_cast<ClassId>(integer(opts, "class", line_no));
-      f.users = integer(opts, "users", line_no);
-      f.size_bytes = integer(opts, "size", line_no);
+      Options opts = options(d, 2);
+      f.cls = static_cast<ClassId>(u32(opts, "class"));
+      f.users = u32(opts, "users");
+      f.size_bytes = u32(opts, "size");
       f.think_mean = opts.number("think");
-      f.request_packets = integer_or(opts, "request", 1, line_no);
+      f.request_packets = u32_or(opts, "request", 1);
       f.response_packets =
-          integer_or(opts, "response", f.request_packets, line_no);
+          u32_or(opts, "response", f.request_packets);
       f.deadline = opts.number_or("deadline", 0.0);
       f.rto = opts.number_or("rto", 0.0);
-      f.max_retries = integer_or(opts, "retries", 0, line_no);
+      f.max_retries = u32_or(opts, "retries", 0);
       f.backoff = opts.number_or("backoff", 2.0);
       f.rto_cap = opts.number_or("rto_cap", 0.0);
       f.throttle_tokens = opts.number_or("throttle", 0.0);
@@ -589,12 +458,10 @@ Scenario parse_scenario(const std::string& text) {
     } else if (kind == "run") {
       if (saw_run) fail(line_no, "duplicate run directive");
       saw_run = true;
-      Options opts(tokens, 1, line_no);
+      Options opts = options(d, 1);
       scenario.run.until = opts.number("until");
       scenario.run.warmup = opts.number_or("warmup", 0.0);
-      const double seed = opts.number_or("seed", 1.0);
-      if (!is_seed(seed)) fail(line_no, kSeedRangeError);
-      scenario.run.seed = static_cast<std::uint64_t>(seed);
+      scenario.run.seed = opts.integer_or("seed", 1, 0, kMaxExactInteger);
       opts.finish();
       if (scenario.run.warmup < 0.0) {
         fail(line_no, "warmup must be non-negative");
@@ -605,7 +472,7 @@ Scenario parse_scenario(const std::string& text) {
     } else {
       fail(line_no, "unknown directive " + kind);
     }
-  }
+  });
   if (scenario.links.empty()) {
     throw std::invalid_argument("scenario defines no links");
   }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "net/chain.hpp"
+#include "net/topology.hpp"
 #include "stats/percentile.hpp"
 #include "stats/running_stats.hpp"
 #include "traffic/source.hpp"
@@ -75,20 +75,33 @@ StudyBResult run_study_b(const StudyBConfig& config) {
   std::vector<SampleSet> flow_delays(flows_total);
   std::uint64_t user_exits = 0;
 
-  ChainNetwork net(sim, config.hops, config.scheduler, sched_config, capacity,
-                   [&](const Packet& p, SimTime) {
-                     PDS_REQUIRE(p.flow < flows_total);
-                     flow_delays[p.flow].add(p.cum_queueing);
-                     ++user_exits;
-                   });
+  // The K-hop chain: user flows take one route over links 0..K-1; cross
+  // traffic at hop h takes a single-link route and exits after that hop.
+  Network net(sim);
+  std::vector<LinkId> user_path;
+  for (std::uint32_t h = 0; h < config.hops; ++h) {
+    user_path.push_back(
+        net.add_link(config.scheduler, sched_config, capacity));
+  }
+  const RouteId user_route =
+      net.add_route(user_path, [&](const Packet& p, SimTime) {
+        PDS_REQUIRE(p.flow < flows_total);
+        flow_delays[p.flow].add(p.cum_queueing);
+        ++user_exits;
+      });
+  std::vector<RouteId> cross_routes;
+  for (const LinkId link : user_path) {
+    cross_routes.push_back(
+        net.add_route({link}, [](const Packet&, SimTime) {}));
+  }
 
   // Per-hop per-class means over all traffic after warmup.
   std::vector<std::vector<RunningStats>> hop_delays(
       config.hops, std::vector<RunningStats>(n));
-  net.set_hop_observer([&](std::uint32_t hop, const Packet& p, SimTime wait,
-                           SimTime now) {
-    if (now >= config.warmup_s) hop_delays[hop][p.cls].add(wait);
-  });
+  net.set_departure_observer(
+      [&](LinkId hop, const Packet& p, SimTime wait, SimTime now) {
+        if (now >= config.warmup_s) hop_delays[hop][p.cls].add(wait);
+      });
 
   // Cross traffic: C independent mix sources per hop.
   std::vector<std::unique_ptr<ClassMixSource>> cross;
@@ -99,7 +112,9 @@ StudyBResult run_study_b(const StudyBConfig& config) {
           sim, ids, config.cross_mix,
           pareto_gaps(config.pareto_alpha, per_source_interarrival),
           fixed_size(config.packet_bytes), master.split(),
-          [&net, h](Packet p) { net.inject_cross(h, std::move(p)); }));
+          [&net, route = cross_routes[h]](Packet p) {
+            net.inject(std::move(p), route);
+          }));
       cross.back()->start(kTimeZero);
     }
   }
@@ -113,7 +128,9 @@ StudyBResult run_study_b(const StudyBConfig& config) {
       const FlowId flow_id = k * n + c;
       flows.push_back(std::make_unique<CbrFlowSource>(
           sim, ids, c, flow_id, config.flow_packets, config.packet_bytes,
-          flow_gap, [&net](Packet p) { net.inject_user(std::move(p)); }));
+          flow_gap, [&net, user_route](Packet p) {
+            net.inject(std::move(p), user_route);
+          }));
       flows.back()->start(config.warmup_s +
                           static_cast<double>(k) *
                               config.experiment_interval_s);

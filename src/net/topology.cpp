@@ -114,7 +114,9 @@ LinkId Network::add_link(SchedulerKind kind,
   schedulers_.push_back(make_scheduler(kind, config));
   links_.push_back(std::make_unique<Link>(
       sim_, *schedulers_.back(), capacity,
-      [this](Packet&& p, SimTime, SimTime) { forward(std::move(p)); }));
+      [this, id](Packet&& p, SimTime wait, SimTime now) {
+        depart(id, std::move(p), wait, now);
+      }));
   links_.back()->set_burst(config.burst);
   lossies_.emplace_back();
   kinds_.push_back(kind);
@@ -132,7 +134,9 @@ void Network::make_lossy(LinkId id, std::uint64_t buffer_packets) {
   lossies_[id] = std::make_unique<LossyLink>(
       sim_, *schedulers_[id], capacities_[id], buffer_packets,
       DropPolicy::kDropIncoming, nullptr,
-      [this](Packet&& p, SimTime, SimTime) { forward(std::move(p)); },
+      [this, id](Packet&& p, SimTime wait, SimTime now) {
+        depart(id, std::move(p), wait, now);
+      },
       [](const Packet&, SimTime) {});
   lossies_[id]->link_mut().set_burst(configs_[id].burst);
   links_[id].reset();
@@ -189,14 +193,19 @@ void Network::deliver(Packet&& p, LinkId id) {
   }
 }
 
-void Network::forward(Packet&& p) {
+void Network::set_departure_observer(DepartureObserver observer) {
+  observer_ = std::move(observer);
+}
+
+void Network::depart(LinkId id, Packet&& p, SimTime wait, SimTime now) {
+  if (observer_) observer_(id, p, wait, now);
   PDS_REQUIRE(p.route < routes_.size());
   const RouteState& route = routes_[p.route];
   PDS_REQUIRE(p.hops_done <= route.path.size());
   if (p.hops_done < route.path.size()) {
     deliver(std::move(p), route.path[p.hops_done]);
   } else {
-    route.on_exit(p, sim_.now());
+    route.on_exit(p, now);
   }
 }
 

@@ -2,9 +2,10 @@
 //
 // Network is a graph of named Nodes connected by directed edges, each edge
 // an output Link with its own scheduler instance and capacity. Routes are
-// either caller-supplied explicit link sequences (the original API, kept as
-// a thin adapter — ChainNetwork and Study B use it unchanged) or computed
-// by static shortest-path routing between two nodes (add_route_between).
+// either caller-supplied explicit link sequences (Study B's K-hop chain is
+// one user route over links 0..K-1 plus a single-link route per hop for
+// cross traffic) or computed by static shortest-path routing between two
+// nodes (add_route_between).
 //
 // Routing determinism rule: a computed route is the minimum-hop path; among
 // equal-hop paths the lexicographically smallest link-id sequence wins.
@@ -17,7 +18,7 @@
 // A packet injected on a route traverses its links in order, accumulating
 // queueing delay in cum_queueing, and the route's exit handler fires when
 // it leaves the last link. Per-hop class-based differentiation composes
-// over any topology the same way it does over the chain — the end-to-end
+// over any topology the same way it does over a chain — the end-to-end
 // consistency questions of Section 6 can therefore be asked of merging,
 // diverging and shared-link paths (see the topology tests and the
 // merging-paths bench).
@@ -67,6 +68,11 @@ class Network {
   // Fired when a packet completes its route. `p.cum_queueing` holds the
   // total queueing delay over every traversed hop.
   using ExitHandler = std::function<void(const Packet& p, SimTime now)>;
+
+  // Fired for every departure from every link, with that link's queueing
+  // delay `wait`, before the packet moves on along its route.
+  using DepartureObserver = std::function<void(
+      LinkId link, const Packet& p, SimTime wait, SimTime now)>;
 
   explicit Network(Simulator& sim);
 
@@ -147,13 +153,19 @@ class Network {
   // Utilization of a link measured from time 0 to `now`.
   double utilization(LinkId id) const;
 
+  // Installs the departure observer (an empty function detaches it).
+  // Install before traffic starts to see every departure.
+  void set_departure_observer(DepartureObserver observer);
+
  private:
   struct RouteState {
     std::vector<LinkId> path;
     ExitHandler on_exit;
   };
 
-  void forward(Packet&& p);
+  // Departure callback of link `id`: the observer, then the packet's next
+  // hop or, after its last one, the route's exit handler.
+  void depart(LinkId id, Packet&& p, SimTime wait, SimTime now);
   // Arrival entry point for link `id`: the loss stage when the link has
   // one, the plain Link otherwise.
   void deliver(Packet&& p, LinkId id);
@@ -174,6 +186,7 @@ class Network {
   std::vector<RouteState> routes_;
   std::vector<std::string> node_names_;
   std::vector<GraphEdge> edges_;  // ascending link id (append-only)
+  DepartureObserver observer_;
   bool injected_ = false;
 };
 

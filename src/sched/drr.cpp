@@ -10,6 +10,7 @@ DrrScheduler::DrrScheduler(const SchedulerConfig& config)
       in_ring_(config.num_classes(), false),
       deficit_(config.num_classes(), 0.0),
       quantum_(config.num_classes(), 0.0) {
+  active_.reserve(config.num_classes());
   for (ClassId c = 0; c < num_classes(); ++c) {
     quantum_[c] = config.drr_quantum_bytes * sdp()[c];
   }
@@ -52,11 +53,9 @@ std::optional<Packet> DrrScheduler::drop_tail(ClassId cls) {
   if (dropped && backlog_.head_of(cls).packets == 0) {
     // Keep the active ring consistent: an emptied class leaves the ring.
     if (!active_.empty() && active_.front() == cls) visit_started_ = false;
-    for (auto it = active_.begin(); it != active_.end(); ++it) {
-      if (*it == cls) {
-        active_.erase(it);
-        break;
-      }
+    for (std::size_t i = active_.size(); i > 0; --i) {  // one full rotation
+      const ClassId c = active_.pop_front();
+      if (c != cls) active_.push_back(c);
     }
     in_ring_[cls] = false;
     deficit_[cls] = 0.0;
@@ -93,8 +92,7 @@ std::optional<Packet> DrrScheduler::dequeue(SimTime) {
       return p;
     }
     // Deficit exhausted: the visit ends, credit carries over.
-    active_.pop_front();
-    active_.push_back(c);
+    active_.push_back(active_.pop_front());
     visit_started_ = false;
   }
 }

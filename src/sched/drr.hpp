@@ -7,8 +7,7 @@
 // addresses — which the ablation benches demonstrate.
 #pragma once
 
-#include <deque>
-
+#include "queueing/ring.hpp"
 #include "sched/scheduler.hpp"
 
 namespace pds {
@@ -37,8 +36,9 @@ class DrrScheduler final : public ClassBasedScheduler {
  private:
   double quantum_bytes_;
   // Classes currently in the active ring, in visit order. A class enters at
-  // the back when it becomes backlogged and leaves when its queue empties.
-  std::deque<ClassId> active_;
+  // the back when it becomes backlogged and leaves when its queue empties;
+  // it is in the ring at most once, so the ring is sized once, to N.
+  Ring<ClassId> active_;
   std::vector<bool> in_ring_;
   std::vector<double> deficit_;
   std::vector<double> quantum_;

@@ -16,14 +16,13 @@ void FcfsScheduler::enqueue(Packet p, SimTime now) {
   PDS_CHECK(p.arrival <= now, "packet arrival stamped in the future");
   ++packets_per_class_[p.cls];
   bytes_per_class_[p.cls] += p.size_bytes;
-  q_.push_back(p);
+  q_.push(p);
   notify_enqueued(p, now);
 }
 
 std::optional<Packet> FcfsScheduler::dequeue(SimTime) {
   if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+  Packet p = q_.pop();
   --packets_per_class_[p.cls];
   bytes_per_class_[p.cls] -= p.size_bytes;
   return p;

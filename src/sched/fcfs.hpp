@@ -6,8 +6,7 @@
 // there is exactly the delay this scheduler yields on the aggregate stream.
 #pragma once
 
-#include <deque>
-
+#include "queueing/class_queue.hpp"
 #include "sched/scheduler.hpp"
 
 namespace pds {
@@ -29,7 +28,7 @@ class FcfsScheduler final : public Scheduler {
 
  private:
   std::uint32_t num_classes_;
-  std::deque<Packet> q_;
+  ClassQueue q_;
   std::vector<std::uint64_t> packets_per_class_;
   std::vector<std::uint64_t> bytes_per_class_;
 };

@@ -12,8 +12,7 @@
 // drift with class load, which is the model's documented weakness.
 #pragma once
 
-#include <deque>
-
+#include "queueing/ring.hpp"
 #include "sched/scheduler.hpp"
 
 namespace pds {
@@ -49,7 +48,7 @@ class ScfqScheduler final : public Scheduler {
   MultiClassBacklog backlog_;
   std::vector<double> weight_;
   // Finish tags of queued packets, FIFO-parallel to each class queue.
-  std::vector<std::deque<double>> tags_;
+  std::vector<Ring<double>> tags_;
   std::vector<double> last_finish_;  // F_prev per class
   double vtime_ = 0.0;
 };

@@ -14,8 +14,7 @@
 // like the other members of the family it cannot pin delay *ratios*.
 #pragma once
 
-#include <deque>
-
+#include "queueing/ring.hpp"
 #include "sched/scheduler.hpp"
 
 namespace pds {
@@ -51,7 +50,7 @@ class VirtualClockScheduler final : public Scheduler {
   MultiClassBacklog backlog_;
   std::vector<double> weight_;
   std::vector<double> vclock_;
-  std::vector<std::deque<double>> tags_;  // FIFO-parallel to each queue
+  std::vector<Ring<double>> tags_;  // FIFO-parallel to each queue
 };
 
 }  // namespace pds

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ctrl/control_injector.hpp"
@@ -145,6 +146,33 @@ TEST(ControlPlan, NonFiniteNumbersNameTheirLine) {
                     << " for: " << c.text;
     }
   }
+}
+
+// Every integer field is range-checked before it is converted: 1e300 once
+// reached an undefined double -> uint64 cast and then a contract check in
+// the link, and 2.5 was silently truncated to 2.
+TEST(ControlPlan, IntegerFieldsAreRangeChecked) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"shed l at=10 for=5 watermark=1e300\n",
+       "control plan line 1: watermark must be an integer in [1, 2^53]"},
+      {"shed l at=10 for=5 watermark=2.5\n",
+       "control plan line 1: watermark must be an integer in [1, 2^53]"},
+      {"shed l at=10 for=5 watermark=9 classes=1e300\n",
+       "control plan line 1: classes must be a positive integer"},
+      {"shed l at=10 for=5 watermark=9 classes=1.5\n",
+       "control plan line 1: classes must be a positive integer"},
+      {"class l at=1 drain=1e300\n",
+       "control plan line 1: class index must be a non-negative integer"},
+      {"class l at=1 add=-1\n",
+       "control plan line 1: class index must be a non-negative integer"},
+  };
+  for (const auto& [text, message] : cases) {
+    EXPECT_EQ(parse_error(text), message) << text;
+  }
+  const auto plan = parse_control_plan(
+      "shed l at=10 for=5 watermark=9007199254740992 classes=4294967295\n");
+  EXPECT_EQ(plan.episodes[0].shed.watermark_packets, 9007199254740992u);
+  EXPECT_EQ(plan.episodes[0].shed.classes, 4294967295u);
 }
 
 TEST(ControlPlan, RejectsMalformedDirectives) {

@@ -8,7 +8,7 @@
 #include "dropper/lossy_link.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
-#include "net/chain.hpp"
+#include "net/topology.hpp"
 #include "sched/fcfs.hpp"
 #include "sched/link.hpp"
 
@@ -477,22 +477,25 @@ TEST(FaultPlan, AttachErrorsCarryLineNumbers) {
             "fault plan: line 1: episode targets *, nothing attached");
 }
 
-TEST(FaultInjector, AttachChainNamesEveryHop) {
+TEST(FaultInjector, AttachNetworkNamesEveryLineLink) {
   Simulator sim;
   SchedulerConfig sc;
   sc.sdp = {1.0, 2.0};
-  ChainNetwork chain(sim, 3, SchedulerKind::kWtp, sc, 100.0,
-                     [](const Packet&, SimTime) {});
-  FaultInjector inj(sim, parse_fault_plan("down hop1 at=5 for=2\n"));
-  attach_chain(inj, chain);
+  Network net(sim);
+  build_topology(net, make_line_topology(4), SchedulerKind::kWtp, sc, 100.0);
+  FaultInjector inj(sim, parse_fault_plan("down n1>n2 at=5 for=2\n"));
+  attach_network(inj, net);
   inj.arm();
   sim.schedule_at(6.0, [&] {
-    EXPECT_FALSE(chain.link_mut(0).down());
-    EXPECT_TRUE(chain.link_mut(1).down());
-    EXPECT_FALSE(chain.link_mut(2).down());
+    for (LinkId id = 0; id < net.num_links(); ++id) {
+      EXPECT_EQ(net.link(id).down(), net.link_name(id) == "n1>n2")
+          << net.link_name(id);
+    }
   });
   sim.run();
-  EXPECT_FALSE(chain.link_mut(1).down());
+  for (LinkId id = 0; id < net.num_links(); ++id) {
+    EXPECT_FALSE(net.link(id).down()) << net.link_name(id);
+  }
 }
 
 // ------------------------------------------------------------- determinism

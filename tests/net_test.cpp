@@ -1,121 +1,142 @@
 #include <gtest/gtest.h>
 
-#include "net/chain.hpp"
+#include <cstring>
+
+#include "net/topology.hpp"
 #include "net/study_b.hpp"
 
 namespace pds {
 namespace {
 
-SchedulerConfig chain_config() {
+SchedulerConfig wtp_config() {
   SchedulerConfig c;
   c.sdp = {1.0, 2.0};
   c.link_capacity = 100.0;
   return c;
 }
 
-Packet user_packet(std::uint64_t id, ClassId cls, FlowId flow) {
+Packet make_packet(std::uint64_t id, ClassId cls) {
   Packet p;
   p.id = id;
   p.cls = cls;
-  p.flow = flow;
   p.size_bytes = 100;
   return p;
 }
 
+// Study B's shape on a Network: one user route over every hop and one
+// single-link cross route per hop.
+struct LineNetwork {
+  LineNetwork(Simulator& sim, std::uint32_t hops) : net(sim) {
+    std::vector<LinkId> path;
+    for (std::uint32_t h = 0; h < hops; ++h) {
+      path.push_back(net.add_link(SchedulerKind::kWtp, wtp_config(), 100.0));
+    }
+    user = net.add_route(path, [this](const Packet& p, SimTime) {
+      user_exits.push_back(p);
+    });
+    for (const LinkId link : path) {
+      cross.push_back(net.add_route({link}, [this](const Packet&, SimTime) {
+        ++cross_exits;
+      }));
+    }
+  }
+
+  Network net;
+  RouteId user = 0;
+  std::vector<RouteId> cross;
+  std::vector<Packet> user_exits;
+  std::uint64_t cross_exits = 0;
+};
+
+// The ChainNetwork tests check Study B's chain shape, now built as a
+// LineNetwork.
 TEST(ChainNetwork, UserPacketTraversesEveryHop) {
   Simulator sim;
-  std::vector<Packet> exited;
-  ChainNetwork net(sim, 3, SchedulerKind::kWtp, chain_config(), 100.0,
-                   [&](const Packet& p, SimTime) { exited.push_back(p); });
-  sim.schedule_at(0.0, [&] { net.inject_user(user_packet(1, 0, 5)); });
+  LineNetwork line(sim, 3);
+  Packet p = make_packet(1, 0);
+  p.flow = 5;
+  sim.schedule_at(0.0,
+                  [&] { line.net.inject(std::move(p), line.user); });
   sim.run();
-  ASSERT_EQ(exited.size(), 1u);
-  EXPECT_EQ(exited[0].hops_done, 3u);
-  EXPECT_EQ(exited[0].flow, 5u);
+  ASSERT_EQ(line.user_exits.size(), 1u);
+  EXPECT_EQ(line.user_exits[0].hops_done, 3u);
+  EXPECT_EQ(line.user_exits[0].flow, 5u);
   // Uncontended path: zero queueing at every hop.
-  EXPECT_DOUBLE_EQ(exited[0].cum_queueing, 0.0);
-}
-
-TEST(ChainNetwork, CrossTrafficExitsAfterOneHop) {
-  Simulator sim;
-  std::vector<Packet> exited;
-  ChainNetwork net(sim, 3, SchedulerKind::kWtp, chain_config(), 100.0,
-                   [&](const Packet& p, SimTime) { exited.push_back(p); });
-  Packet cross;
-  cross.id = 2;
-  cross.cls = 1;
-  cross.size_bytes = 100;
-  sim.schedule_at(0.0, [&] { net.inject_cross(1, std::move(cross)); });
-  sim.run();
-  EXPECT_TRUE(exited.empty());  // cross traffic never reaches the exit
-  EXPECT_EQ(net.cross_sunk(), 1u);
-  EXPECT_EQ(net.link(1).packets_sent(), 1u);
-  EXPECT_EQ(net.link(0).packets_sent(), 0u);
+  EXPECT_DOUBLE_EQ(line.user_exits[0].cum_queueing, 0.0);
+  EXPECT_EQ(line.cross_exits, 0u);
 }
 
 TEST(ChainNetwork, QueueingAccumulatesAcrossHops) {
   Simulator sim;
-  std::vector<Packet> exited;
-  ChainNetwork net(sim, 2, SchedulerKind::kWtp, chain_config(), 100.0,
-                   [&](const Packet& p, SimTime) { exited.push_back(p); });
+  LineNetwork line(sim, 2);
   // Two user packets back-to-back: the second queues behind the first at
-  // hop 0 AND at hop 1? At hop 1 they arrive spaced by one transmission
-  // time, so only hop 0 queues it (wait = 1 tu).
+  // hop 0 only; at hop 1 they arrive spaced by one transmission time, so
+  // its total wait is 1 tu.
   sim.schedule_at(0.0, [&] {
-    net.inject_user(user_packet(1, 0, 0));
-    net.inject_user(user_packet(2, 0, 1));
+    line.net.inject(make_packet(1, 0), line.user);
+    line.net.inject(make_packet(2, 0), line.user);
   });
   sim.run();
-  ASSERT_EQ(exited.size(), 2u);
-  EXPECT_DOUBLE_EQ(exited[0].cum_queueing, 0.0);
-  EXPECT_DOUBLE_EQ(exited[1].cum_queueing, 1.0);
+  ASSERT_EQ(line.user_exits.size(), 2u);
+  EXPECT_DOUBLE_EQ(line.user_exits[0].cum_queueing, 0.0);
+  EXPECT_DOUBLE_EQ(line.user_exits[1].cum_queueing, 1.0);
 }
 
-TEST(ChainNetwork, HopObserverSeesEveryDeparture) {
+TEST(ChainNetwork, ValidatesInputs) {
   Simulator sim;
-  ChainNetwork net(sim, 2, SchedulerKind::kWtp, chain_config(), 100.0,
-                   [](const Packet&, SimTime) {});
-  std::vector<std::tuple<std::uint32_t, std::uint64_t, double>> seen;
-  net.set_hop_observer(
-      [&](std::uint32_t hop, const Packet& p, SimTime wait, SimTime) {
-        seen.emplace_back(hop, p.id, wait);
+  LineNetwork line(sim, 2);
+  // A chain of zero hops is an empty route.
+  EXPECT_THROW(line.net.add_route({}, [](const Packet&, SimTime) {}),
+               std::invalid_argument);
+  // Cross traffic at a hop the chain does not have names no route.
+  const RouteId no_such_hop = line.cross.back() + 5;
+  EXPECT_THROW(line.net.inject(make_packet(1, 1), no_such_hop),
+               std::invalid_argument);
+  // A packet that already travelled cannot enter the chain again.
+  Packet travelled = make_packet(2, 0);
+  travelled.hops_done = 1;
+  EXPECT_THROW(line.net.inject(std::move(travelled), line.user),
+               std::invalid_argument);
+}
+
+TEST(LineNetwork, CrossTrafficExitsAfterOneHop) {
+  Simulator sim;
+  LineNetwork line(sim, 3);
+  sim.schedule_at(0.0,
+                  [&] { line.net.inject(make_packet(2, 1), line.cross[1]); });
+  sim.run();
+  EXPECT_TRUE(line.user_exits.empty());  // cross traffic never reaches it
+  EXPECT_EQ(line.cross_exits, 1u);
+  EXPECT_EQ(line.net.link(1).packets_sent(), 1u);
+  EXPECT_EQ(line.net.link(0).packets_sent(), 0u);
+  EXPECT_EQ(line.net.link(2).packets_sent(), 0u);
+}
+
+TEST(LineNetwork, DepartureObserverSeesEveryDeparture) {
+  Simulator sim;
+  LineNetwork line(sim, 2);
+  std::vector<std::tuple<LinkId, std::uint64_t, double>> seen;
+  line.net.set_departure_observer(
+      [&](LinkId link, const Packet& p, SimTime wait, SimTime) {
+        seen.emplace_back(link, p.id, wait);
       });
   sim.schedule_at(0.0, [&] {
-    net.inject_user(user_packet(1, 0, 0));   // traverses hops 0 and 1
-    Packet cross;
-    cross.id = 2;
-    cross.cls = 1;
-    cross.size_bytes = 100;
-    net.inject_cross(1, std::move(cross));   // hop 1 only
+    line.net.inject(make_packet(1, 0), line.user);      // links 0 and 1
+    line.net.inject(make_packet(2, 1), line.cross[1]);  // link 1 only
   });
   sim.run();
   // User packet: 2 observations; cross packet: 1.
   ASSERT_EQ(seen.size(), 3u);
   int user_hits = 0, cross_hits = 0;
-  for (const auto& [hop, id, wait] : seen) {
+  for (const auto& [link, id, wait] : seen) {
     EXPECT_GE(wait, 0.0);
     (id == 1 ? user_hits : cross_hits)++;
-    EXPECT_LT(hop, 2u);
+    EXPECT_LT(link, 2u);
   }
   EXPECT_EQ(user_hits, 2);
   EXPECT_EQ(cross_hits, 1);
-}
-
-TEST(ChainNetwork, ValidatesInputs) {
-  Simulator sim;
-  const auto exit_handler = [](const Packet&, SimTime) {};
-  EXPECT_THROW(ChainNetwork(sim, 0, SchedulerKind::kWtp, chain_config(),
-                            100.0, exit_handler),
-               std::invalid_argument);
-  ChainNetwork net(sim, 2, SchedulerKind::kWtp, chain_config(), 100.0,
-                   exit_handler);
-  Packet no_flow;
-  no_flow.cls = 0;
-  no_flow.size_bytes = 10;
-  EXPECT_THROW(net.inject_user(std::move(no_flow)), std::invalid_argument);
-  Packet flowed = user_packet(1, 0, 1);
-  EXPECT_THROW(net.inject_cross(5, std::move(flowed)),
-               std::invalid_argument);
+  ASSERT_EQ(line.user_exits.size(), 1u);
+  EXPECT_EQ(line.user_exits[0].hops_done, 2u);
 }
 
 // ------------------------------------------------------------- Study B
@@ -202,6 +223,36 @@ TEST(StudyB, PerHopStatsAreCoherent) {
     EXPECT_GT(r.per_hop_rd[h], 1.3);
     EXPECT_LT(r.per_hop_rd[h], 2.6);
   }
+}
+
+// Pins every StudyBResult field at a small config: FNV-1a over the exact
+// bytes of each number, in declaration order. Recorded on the original
+// chain substrate, so the routed Network must reproduce Study B bit for bit.
+TEST(StudyB, GoldenHashPinsEveryField) {
+  constexpr std::uint64_t kGoldenFnv1a = 0x6e16158e132d17d1ULL;
+  const auto r = run_study_b(quick_b());
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
+  const auto mix = [&hash](const auto& value) {
+    unsigned char bytes[sizeof(value)];
+    std::memcpy(bytes, &value, sizeof(value));
+    for (const unsigned char b : bytes) {
+      hash ^= b;
+      hash *= 1099511628211ULL;  // FNV-1a prime
+    }
+  };
+  mix(r.rd);
+  mix(r.experiments);
+  mix(r.inconsistent_experiments);
+  mix(r.inconsistent_pairs);
+  mix(r.worst_violation_s);
+  mix(r.skipped_ratio_terms);
+  for (const double d : r.mean_e2e_delay_per_class) mix(d);
+  for (const double u : r.mean_utilization_per_hop) mix(u);
+  for (const auto& hop : r.per_hop_class_delay) {
+    for (const double d : hop) mix(d);
+  }
+  for (const double rd : r.per_hop_rd) mix(rd);
+  EXPECT_EQ(hash, kGoldenFnv1a) << "got 0x" << std::hex << hash;
 }
 
 TEST(StudyB, MoreHopsSmoothTheRatio) {

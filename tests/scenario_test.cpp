@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "ctrl/control_plan.hpp"
 #include "exp/thread_pool.hpp"
+#include "fault/fault_plan.hpp"
 #include "net/scenario.hpp"
 #include "obs/report.hpp"
 
@@ -298,6 +301,46 @@ TEST(ScenarioErrors, OutOfDomainValuesNameTheirLine) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << "not std::invalid_argument: " << e.what()
                     << "\nfor:\n" << c.text;
+    }
+  }
+}
+
+// The scenario, fault-plan and control-plan grammars share one directive
+// parser: the same malformed token on an otherwise valid line gets the same
+// message in each, under that grammar's own "<grammar> line N: " prefix.
+TEST(Directive, SameMalformedTokenSameMessageInEveryGrammar) {
+  struct Grammar {
+    std::string prefix;
+    std::string line;  // a valid directive the bad token is appended to
+    std::function<void(const std::string&)> parse;
+  };
+  const std::vector<Grammar> grammars = {
+      {"scenario line 2: ", "link a capacity=10 sched=wtp sdp=1,2",
+       [](const std::string& text) { parse_scenario(text); }},
+      {"fault plan line 2: ", "down l at=1 for=1",
+       [](const std::string& text) { parse_fault_plan(text); }},
+      {"control plan line 2: ", "retune l at=1 w=1,2",
+       [](const std::string& text) { parse_control_plan(text); }},
+  };
+  struct Token {
+    std::string text;
+    std::string message;
+  };
+  const std::vector<Token> tokens = {
+      {"=5", "expected key=value, got =5"},
+      {"=", "expected key=value, got ="},
+      {"gap=20 gap=1e9", "duplicate option gap"},
+      {"k=1 k=1", "duplicate option k"},
+  };
+  for (const Grammar& g : grammars) {
+    for (const Token& t : tokens) {
+      const std::string text = "# comment\n" + g.line + " " + t.text + "\n";
+      try {
+        g.parse(text);
+        ADD_FAILURE() << "accepted: " << text;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), g.prefix + t.message) << text;
+      }
     }
   }
 }
